@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gridmap import CellSet, kernel_basis, neighborhood_masks
+from .gridmap import CellSet, apply_clicks, kernel_basis
 
 __all__ = [
     "RegionPartition",
@@ -29,10 +29,7 @@ __all__ = [
 
 def is_even_cover(s: CellSet) -> bool:
     """Whether every cell's closed neighborhood meets ``s`` evenly."""
-    bits = s.bits
-    return all(
-        (m & bits).bit_count() & 1 == 0 for m in neighborhood_masks(s.n)
-    )
+    return not apply_clicks(s)
 
 
 def _source_index(i: int, n: int) -> int | None:

@@ -2,16 +2,19 @@
 
 Cell sets (light configurations and click sets alike) are integer bitsets
 in row-major order: cell (r, c) is bit r*n + c. Symmetric difference is
-XOR, so the click map and all solvers below are straight bit fiddling on
-word-packed rows; the n^4-bit click matrix is never materialized beyond
-its n^2 neighborhood rows.
+XOR, so the click map is five shifted copies of one integer, two of them
+masked so they do not wrap between rows.
 
-Elimination is done once per grid size and cached: a single forward pass
-over the neighborhood rows yields both the kernel basis (the even parity
-covers) and a solver for particular solutions. The click matrix is
-symmetric, so a vanishing combination of rows read off during elimination
-is itself a kernel vector, and membership in the image can be decided by
-orthogonality against the kernel.
+Kernels and solutions come from light chasing (Anderson & Feil, "Turning
+Lights Out with Linear Algebra", Math. Mag. 71(4), 1998). Once the clicks
+in row 0 are fixed, every later row must be clicked exactly under the
+lights still on above it, so the whole click set follows row by row. The
+lights left for a virtual row n are M*c plus a residual of the board,
+where c is the first row and M = f_{n+1}(T) is the Fibonacci polynomial
+of the gf2poly module evaluated at the row's own click map T. A board is
+therefore solvable iff M*c equals its residual for some c, and the chases
+of M's null vectors are the kernel: the n^2 x n^2 click matrix is never
+formed, only the n x n matrix M, reduced once per grid size and cached.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ __all__ = [
     "KernelBasis",
     "UnsolvableError",
     "neighborhood",
-    "neighborhood_masks",
     "apply_clicks",
     "kernel_basis",
     "is_solvable",
@@ -152,7 +154,6 @@ class KernelBasis:
 
     def span_nonzero(self) -> list[CellSet]:
         """All 2^d - 1 nonzero kernel elements (d must be small)."""
-        out: list[CellSet] = []
         vals = [0]
         for b in self.basis:
             vals += [v ^ b.bits for v in vals]
@@ -161,86 +162,94 @@ class KernelBasis:
 
 # -- click map ---------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def neighborhood_masks(n: int) -> tuple[int, ...]:
-    """Bitmask of the closed neighborhood of each cell, indexed by cell."""
-    masks = []
-    for r in range(n):
-        for c in range(n):
-            m = 1 << (r * n + c)
-            if r > 0:
-                m |= 1 << ((r - 1) * n + c)
-            if r < n - 1:
-                m |= 1 << ((r + 1) * n + c)
-            if c > 0:
-                m |= 1 << (r * n + c - 1)
-            if c < n - 1:
-                m |= 1 << (r * n + c + 1)
-            masks.append(m)
-    return tuple(masks)
+_CACHE_SIZE = 64  # grid sizes kept per cache; every entry is rebuilt on demand
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _masks(n: int) -> tuple[int, int, int]:
+    """(whole grid, all but column 0, all but column n-1) as bitmasks."""
+    full = (1 << (n * n)) - 1
+    first_col = full // ((1 << n) - 1)  # bit r*n for every row r
+    return full, full ^ first_col, full ^ (first_col << (n - 1))
 
 
 def neighborhood(n: int, v: int) -> CellSet:
     """Closed neighborhood of cell index v (v plus its grid neighbors)."""
     if not 0 <= v < n * n:
         raise ValueError(f"cell index {v} outside the {n}x{n} grid")
-    return CellSet(n, neighborhood_masks(n)[v])
+    return apply_clicks(CellSet(n, 1 << v))
 
 
 def apply_clicks(clicks: CellSet) -> CellSet:
-    """Lights toggled by clicking every cell in ``clicks`` once."""
-    masks = neighborhood_masks(clicks.n)
-    acc = 0
-    bits = clicks.bits
-    while bits:
-        low = bits & -bits
-        acc ^= masks[low.bit_length() - 1]
-        bits ^= low
-    return CellSet(clicks.n, acc)
+    """Lights toggled by clicking every cell in ``clicks`` once.
+
+    Each click toggles its cell and the cells left, right, above and
+    below it: five shifted copies of the click set, with the horizontal
+    ones masked so they do not wrap between rows.
+    """
+    n, x = clicks.n, clicks.bits
+    full, not_first, not_last = _masks(n)
+    lights = x ^ ((x << 1) & not_first) ^ ((x >> 1) & not_last)
+    return CellSet(n, lights ^ ((x << n) & full) ^ (x >> n))
 
 
-# -- elimination -------------------------------------------------------------
-#
-# Rows are processed with column j of the click matrix held at bit N-1-j
-# ("reversed" layout) so the leading column of a row is found with
-# int.bit_length(), which is O(1), instead of scanning low bits of big
-# integers. Tracks (which original rows were combined) stay in natural
-# cell order.
+# -- light chasing -------------------------------------------------------------
 
-def _reverse_bits(bits: int, width: int) -> int:
-    return int(format(bits, f"0{width}b")[::-1], 2) if width else 0
+def _chase(n: int, board: int, top: int) -> tuple[int, int]:
+    """Click row 0 as ``top``, then click under every light left in ``board``.
 
-
-class _Echelon:
-    __slots__ = ("n", "size", "pivots", "kernel")
-
-    def __init__(self, n: int, size: int, pivots: dict, kernel: tuple):
-        self.n = n
-        self.size = size
-        self.pivots = pivots  # leading column -> (row value rev-layout, track)
-        self.kernel = kernel  # raw kernel tracks, natural layout
+    Row r+1 is clicked exactly where row r is still lit after rows r-1
+    and r, which leaves rows 0..n-1 dark. Returns the click set and the
+    residual: the lights row n would have to clear, 0 iff the clicks
+    solve ``board``.
+    """
+    row = (1 << n) - 1
+    prev, cur = 0, top
+    clicks = 0
+    for r in range(n):
+        clicks |= cur << (r * n)
+        lit = (board >> (r * n)) & row
+        prev, cur = cur, lit ^ cur ^ ((cur << 1) & row) ^ (cur >> 1) ^ prev
+    return clicks, cur
 
 
-@lru_cache(maxsize=None)
-def _echelon(n: int) -> _Echelon:
-    size = n * n
-    masks = neighborhood_masks(n)
+def _reduce(pivots: dict[int, tuple[int, int]], v: int, track: int) -> tuple[int, int]:
+    """Clear v's leading bits with ``pivots`` while they reach; track follows."""
+    while v:
+        hit = pivots.get(v.bit_length() - 1)
+        if hit is None:
+            break
+        v ^= hit[0]
+        track ^= hit[1]
+    return v, track
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _residual_matrix(n: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
+    """The residual matrix M of the n-by-n grid, reduced.
+
+    Column j of M is the residual of clicking cell (0, j) alone and
+    chasing, so M = f_{n+1}(T) for the row's click map T. Returns the
+    pivots {leading bit: (M*t, t)} for first rows t, and a basis of the
+    first rows t with M*t = 0.
+    """
+    # Chase all n unit first rows at once: block j of an n*n-bit integer
+    # (the cells of "row" j) holds the chase from cell (0, j), so a step
+    # of the row recurrence is the horizontal part of the click map plus
+    # the blocks two steps back.
+    _, not_first, not_last = _masks(n)
+    prev, cur = 0, ((1 << (n * n + n)) - 1) // ((1 << (n + 1)) - 1)  # the identity
+    for _ in range(n):
+        prev, cur = cur, cur ^ ((cur << 1) & not_first) ^ ((cur >> 1) & not_last) ^ prev
     pivots: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for v in range(size):
-        cur = _reverse_bits(masks[v], size)
-        track = 1 << v
-        while cur:
-            col = size - cur.bit_length()
-            hit = pivots.get(col)
-            if hit is None:
-                pivots[col] = (cur, track)
-                break
-            cur ^= hit[0]
-            track ^= hit[1]
+    null = []
+    for j in range(n):
+        col, track = _reduce(pivots, (cur >> (j * n)) & ((1 << n) - 1), 1 << j)
+        if col:
+            pivots[col.bit_length() - 1] = (col, track)
         else:
-            kernel.append(track)
-    return _Echelon(n, size, pivots, tuple(kernel))
+            null.append(track)
+    return pivots, tuple(null)
 
 
 def _lowest_bit(v: int) -> int:
@@ -263,12 +272,17 @@ def _rref_low(vectors) -> list[tuple[int, int]]:
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def kernel_basis(n: int) -> KernelBasis:
-    """Canonical basis of the even parity covers of the n-by-n grid."""
-    ech = _echelon(n)
-    rows = _rref_low(ech.kernel)
-    return KernelBasis(n, tuple(CellSet(n, v) for _, v in rows))
+    """Canonical basis of the even parity covers of the n-by-n grid.
+
+    The chases of M's null vectors span the kernel. A nonzero chase has
+    its first row as row 0, so its lowest cell lies there, and chasing is
+    linear: reducing the first rows and then chasing them gives the
+    kernel's unique reduced row-echelon basis.
+    """
+    rows = _rref_low(_residual_matrix(n)[1])
+    return KernelBasis(n, tuple(CellSet(n, _chase(n, 0, top)[0]) for _, top in rows))
 
 
 # -- solvers -----------------------------------------------------------------
@@ -289,28 +303,21 @@ def is_solvable(config: CellSet) -> bool:
 def solve_particular(config: CellSet) -> CellSet:
     """One click set solving ``config``, canonical and deterministic.
 
-    The result is the unique solution whose coordinates vanish on the
-    kernel's leading cells (the d free degrees of freedom are pinned to
-    zero), so repeated calls agree bit for bit.
+    Chasing the board with an empty first row leaves a residual r; the
+    first row t with M*t = r chases to a solution. The result is the
+    unique solution whose coordinates vanish on the kernel's leading
+    cells (the d free degrees of freedom are pinned to zero), so repeated
+    calls agree bit for bit.
     """
-    ech = _echelon(config.n)
-    cur = _reverse_bits(config.bits, ech.size)
-    track = 0
-    while cur:
-        hit = ech.pivots.get(ech.size - cur.bit_length())
-        if hit is None:
-            raise UnsolvableError("configuration is not solvable")
-        cur ^= hit[0]
-        track ^= hit[1]
-    for p, b in _kernel_rows(config.n):
-        if (track >> p) & 1:
-            track ^= b
-    return CellSet(config.n, track)
-
-
-@lru_cache(maxsize=None)
-def _kernel_rows(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((_lowest_bit(e.bits), e.bits) for e in kernel_basis(n).basis)
+    n = config.n
+    left, top = _reduce(_residual_matrix(n)[0], _chase(n, config.bits, 0)[1], 0)
+    if left:
+        raise UnsolvableError("configuration is not solvable")
+    clicks, _ = _chase(n, config.bits, top)
+    for e in kernel_basis(n).basis:
+        if clicks & e.bits & -e.bits:
+            clicks ^= e.bits
+    return CellSet(n, clicks)
 
 
 def _check_nullity_cap(n: int, max_nullity: int) -> list[int]:
@@ -336,6 +343,10 @@ def all_solutions(config: CellSet, max_nullity: int = DEFAULT_NULLITY_CAP) -> li
         cur ^= basis_bits[(i & -i).bit_length() - 1]
         sols.append(CellSet(config.n, cur))
     return sols
+
+
+def _reverse_bits(bits: int, width: int) -> int:
+    return int(format(bits, f"0{width}b")[::-1], 2) if width else 0
 
 
 def lex_key(cs: CellSet) -> int:

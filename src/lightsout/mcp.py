@@ -99,24 +99,7 @@ def _scan_shard(task: tuple[int, int, tuple[int, ...], tuple[int, ...]]) -> tupl
     best_rep = 0
     best_key = None
     i = 0
-    if len(members) == 1:
-        m0 = members[0]
-        while True:
-            w = (rep ^ m0).bit_count()
-            if w >= best_w:
-                if w > best_w:
-                    best_w, best_rep, best_key = w, rep, None
-                else:
-                    if best_key is None:
-                        best_key = _reverse_bits(best_rep, size)
-                    key = _reverse_bits(rep, size)
-                    if key < best_key:
-                        best_rep, best_key = rep, key
-            i += 1
-            if i == total:
-                break
-            rep ^= free_masks[(i & -i).bit_length() - 1]
-    elif len(members) == 4:
+    if len(members) == 4:
         m0, m1, m2, m3 = members
         while True:
             w = (rep ^ m0).bit_count()
@@ -171,24 +154,26 @@ def mcp_bruteforce(
     """Exact MCP for an n-by-n grid by exhausting coset representatives.
 
     The coset space has n^2 - d bits for kernel dimension d; the scan is
-    refused above ``budget_bits``. Shards are reduced with a pure max, so
-    the result is identical for any worker count.
+    refused above ``budget_bits``. An empty kernel needs no scan: the
+    answer is n^2, whatever the budget. Shards are reduced with a pure
+    max, so the result is identical for any worker count.
     """
     if n < 1:
         raise ValueError("grid side length must be >= 1")
     kb = kernel_basis(n)
     size = n * n
     d = len(kb)
+    if d == 0:
+        # Every coset is a single click set, so the heaviest is the full
+        # board and the worst configuration is its image.
+        return size, apply_clicks(CellSet.full(n))
     free_count = size - d
     if free_count > budget_bits:
         raise ValueError(
             f"{free_count} coset bits for n={n} exceed the budget of "
             f"{budget_bits} bits"
         )
-    vals = [0]
-    for e in kb.basis:
-        vals += [v ^ e.bits for v in vals]
-    members = tuple(vals)
+    members = (0,) + tuple(e.bits for e in kb.span_nonzero())
     pivot_bits = {(e.bits & -e.bits).bit_length() - 1 for e in kb.basis}
     free_masks = tuple(1 << i for i in range(size) if i not in pivot_bits)
 

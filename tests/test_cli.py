@@ -174,7 +174,9 @@ def test_mcp_needs_a_mode(capsys):
 
 
 def test_mcp_brute_over_budget(capsys):
-    code, _, err = run(capsys, "mcp", "7", "--brute")
+    code, out, _ = run(capsys, "mcp", "7", "--brute")  # empty kernel: no scan
+    assert code == 0 and out == "49\n"
+    code, _, err = run(capsys, "mcp", "9", "--brute")
     assert code == 1 and "budget" in err
 
 

@@ -75,8 +75,12 @@ def test_bruteforce_result_is_attained():
 
 
 def test_bruteforce_budget_refusal():
+    # an empty kernel is answered without a scan, whatever the budget
+    value, worst = mcp_bruteforce(7)
+    assert value == 49
+    assert worst == apply_clicks(CellSet.full(7))
     with pytest.raises(ValueError, match="budget"):
-        mcp_bruteforce(7)  # 49 coset bits
+        mcp_bruteforce(9)  # nullity 8: 73 coset bits
     with pytest.raises(ValueError, match="budget"):
         mcp_bruteforce(5, budget_bits=20)  # needs 23
 
