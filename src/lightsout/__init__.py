@@ -8,15 +8,12 @@ grids, and censuses kernel dimensions across thousands of sizes.
 """
 
 from .gf2poly import (
-    BinaryPolynomial,
     fib_poly,
     nullity,
     nullity_range,
-    poly_add,
     poly_compose_x_plus_1,
     poly_gcd,
     poly_mod,
-    poly_mul,
 )
 from .gridmap import (
     CellSet,
@@ -40,7 +37,6 @@ from .covers import (
     tile_cover,
 )
 from .mcp import (
-    CertificateChecks,
     McpCertificate,
     ilp_optimum,
     mcp_bruteforce,
@@ -52,11 +48,9 @@ from .mcp import (
 from .scan import (
     CongruenceReport,
     ConjectureReport,
-    DensityReport,
     ScanRecord,
     census,
     check_conjecture_2_3k,
-    density_report,
     read_records_csv,
     read_records_jsonl,
     scan_range,
@@ -68,15 +62,12 @@ from .scan import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryPolynomial",
     "fib_poly",
     "nullity",
     "nullity_range",
-    "poly_add",
     "poly_compose_x_plus_1",
     "poly_gcd",
     "poly_mod",
-    "poly_mul",
     "CellSet",
     "KernelBasis",
     "UnsolvableError",
@@ -94,7 +85,6 @@ __all__ = [
     "is_even_cover",
     "region_partition",
     "tile_cover",
-    "CertificateChecks",
     "McpCertificate",
     "ilp_optimum",
     "mcp_bruteforce",
@@ -104,11 +94,9 @@ __all__ = [
     "worst_case_construct",
     "CongruenceReport",
     "ConjectureReport",
-    "DensityReport",
     "ScanRecord",
     "census",
     "check_conjecture_2_3k",
-    "density_report",
     "read_records_csv",
     "read_records_jsonl",
     "scan_range",

@@ -2,9 +2,9 @@
 
 A polynomial c_d x^d + ... + c_1 x + c_0 with c_i in {0, 1} is stored as
 the integer sum(c_i << i): bit i holds the coefficient of x^i. Addition
-is XOR, multiplication is shift-and-XOR, and reduction is the schoolbook
-Euclidean step, so everything runs on word-packed bit vectors and stays
-usable up to degrees in the tens of thousands.
+is XOR and reduction is the schoolbook Euclidean step, so every function
+here takes and returns plain ints, runs on word-packed bit vectors and
+stays usable up to degrees in the tens of thousands.
 
 The grid nullity computation lives here as well: the kernel dimension of
 the click map on an n-by-n grid equals deg gcd(f(x), f(x+1)) where f is
@@ -15,12 +15,9 @@ against an independent Gaussian-elimination oracle in the test suite.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 __all__ = [
-    "BinaryPolynomial",
-    "poly_add",
-    "poly_mul",
     "poly_mod",
     "poly_gcd",
     "poly_compose_x_plus_1",
@@ -30,99 +27,55 @@ __all__ = [
 ]
 
 
-class BinaryPolynomial:
-    """Immutable polynomial over GF(2); bit i of ``bits`` is the x^i coefficient."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int) -> None:
-        if bits < 0:
-            raise ValueError("coefficient bits must be a nonnegative integer")
-        self.bits = bits
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> BinaryPolynomial:
-        """Build from 0/1 coefficients, constant term first."""
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            bits |= c << i
-        return cls(bits)
-
-    @property
-    def degree(self) -> int | None:
-        """Degree of the polynomial; None for the zero polynomial."""
-        return self.bits.bit_length() - 1 if self.bits else None
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinaryPolynomial):
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(("BinaryPolynomial", self.bits))
-
-    def __add__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return BinaryPolynomial(self.bits ^ other.bits)
-
-    __sub__ = __add__
-    __xor__ = __add__
-
-    def __mul__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return BinaryPolynomial(_mul_bits(self.bits, other.bits))
-
-    def __mod__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return BinaryPolynomial(_mod_bits(self.bits, other.bits))
-
-    def __repr__(self) -> str:
-        return f"BinaryPolynomial({self.bits:#x})"
-
-    def __str__(self) -> str:
-        if not self.bits:
-            return "0"
-        terms = []
-        for i in range(self.bits.bit_length() - 1, -1, -1):
-            if (self.bits >> i) & 1:
-                terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-        return " + ".join(terms)
-
-
-def poly_add(a: BinaryPolynomial, b: BinaryPolynomial) -> BinaryPolynomial:
-    """Sum of two polynomials (XOR of coefficient vectors)."""
-    return BinaryPolynomial(a.bits ^ b.bits)
-
-
-def poly_mul(a: BinaryPolynomial, b: BinaryPolynomial) -> BinaryPolynomial:
-    """Carry-free product of two polynomials."""
-    return BinaryPolynomial(_mul_bits(a.bits, b.bits))
-
-
-def poly_mod(a: BinaryPolynomial, m: BinaryPolynomial) -> BinaryPolynomial:
+def poly_mod(a: int, m: int) -> int:
     """Remainder of a modulo m; m must be nonzero."""
-    return BinaryPolynomial(_mod_bits(a.bits, m.bits))
+    if m == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    dm = m.bit_length()
+    while True:
+        da = a.bit_length()
+        if da < dm:
+            return a
+        a ^= m << (da - dm)
 
 
-def poly_gcd(a: BinaryPolynomial, b: BinaryPolynomial) -> BinaryPolynomial:
+def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor; not defined when both arguments are zero."""
-    if not a.bits and not b.bits:
+    if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    return BinaryPolynomial(_gcd_bits(a.bits, b.bits))
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
 
 
-def poly_compose_x_plus_1(a: BinaryPolynomial) -> BinaryPolynomial:
+# Compose threshold: below this bit length plain Horner beats the split.
+_COMPOSE_CUTOFF = 64
+
+
+def poly_compose_x_plus_1(a: int) -> int:
     """Substitute x+1 for x; an involution since (x+1)+1 = x over GF(2)."""
-    return BinaryPolynomial(_compose_bits(a.bits))
+    # Split at a power-of-two degree: with m = 2^j, (x+1)^m = x^m + 1,
+    # so (lo + x^m hi)(x+1) = lo' + hi' + x^m hi'.
+    length = a.bit_length()
+    if length <= _COMPOSE_CUTOFF:
+        r = 0
+        for i in range(length - 1, -1, -1):
+            r = (r << 1) ^ r ^ ((a >> i) & 1)
+        return r
+    m = 1 << ((length - 1).bit_length() - 1)
+    lo = a & ((1 << m) - 1)
+    hi = poly_compose_x_plus_1(a >> m)
+    return poly_compose_x_plus_1(lo) ^ hi ^ (hi << m)
 
 
-def fib_poly(n: int) -> BinaryPolynomial:
+def fib_poly(n: int) -> int:
     """The n-th Fibonacci polynomial over GF(2): f_1 = 1, f_2 = x, f_m = x*f_{m-1} + f_{m-2}."""
     if n < 1:
         raise ValueError("fib_poly is defined for n >= 1")
-    return BinaryPolynomial(_fib_bits(n))
+    prev, cur = 0, 1
+    for _ in range(n - 1):
+        prev, cur = cur, (cur << 1) ^ prev
+    return cur
 
 
 def nullity(n: int) -> int:
@@ -133,7 +86,7 @@ def nullity(n: int) -> int:
     """
     if n < 1:
         raise ValueError("grid side length must be >= 1")
-    return _nullity_of_fib(_fib_bits(n + 1))
+    return _nullity_of_fib(fib_poly(n + 1))
 
 
 def nullity_range(
@@ -157,64 +110,5 @@ def nullity_range(
     return out
 
 
-# -- integer-level kernels -------------------------------------------------
-
-def _mul_bits(a: int, b: int) -> int:
-    if a < b:
-        a, b = b, a
-    c = 0
-    while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
-    return c
-
-
-def _mod_bits(a: int, m: int) -> int:
-    if m == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    dm = m.bit_length()
-    while True:
-        da = a.bit_length()
-        if da < dm:
-            return a
-        a ^= m << (da - dm)
-
-
-def _gcd_bits(a: int, b: int) -> int:
-    while b:
-        a, b = b, _mod_bits(a, b)
-    return a
-
-
-# Compose threshold: below this bit length plain Horner beats the split.
-_COMPOSE_CUTOFF = 64
-
-
-def _compose_bits(a: int) -> int:
-    # a(x+1) by splitting at a power-of-two degree: with m = 2^j,
-    # (x+1)^m = x^m + 1, so (lo + x^m hi)(x+1) = lo' + hi' + x^m hi'.
-    length = a.bit_length()
-    if length <= _COMPOSE_CUTOFF:
-        r = 0
-        for i in range(length - 1, -1, -1):
-            r = (r << 1) ^ r ^ ((a >> i) & 1)
-        return r
-    m = 1 << ((length - 1).bit_length() - 1)
-    lo = a & ((1 << m) - 1)
-    hi = _compose_bits(a >> m)
-    return _compose_bits(lo) ^ hi ^ (hi << m)
-
-
-def _fib_bits(n: int) -> int:
-    if n == 1:
-        return 1
-    prev, cur = 1, 2
-    for _ in range(n - 2):
-        prev, cur = cur, (cur << 1) ^ prev
-    return cur
-
-
 def _nullity_of_fib(f: int) -> int:
-    return _gcd_bits(f, _compose_bits(f)).bit_length() - 1
+    return poly_gcd(f, poly_compose_x_plus_1(f)).bit_length() - 1

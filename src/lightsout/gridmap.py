@@ -34,6 +34,7 @@ __all__ = [
     "solve_particular",
     "all_solutions",
     "min_clicks",
+    "lex_less",
     "parse_pattern",
     "format_pattern",
     "format_pbm",
@@ -345,13 +346,14 @@ def all_solutions(config: CellSet, max_nullity: int = DEFAULT_NULLITY_CAP) -> li
     return sols
 
 
-def _reverse_bits(bits: int, width: int) -> int:
-    return int(format(bits, f"0{width}b")[::-1], 2) if width else 0
+def lex_less(a: int, b: int) -> bool:
+    """Whether bitset a sorts before b in row-major lexicographic order.
 
-
-def lex_key(cs: CellSet) -> int:
-    """Row-major lexicographic rank of a cell set ('.' sorts before '#')."""
-    return _reverse_bits(cs.bits, cs.n * cs.n)
+    At the first cell (lowest bit) where the two differ, the set without
+    it sorts first, as '.' sorts before '#' in the pattern format.
+    """
+    d = a ^ b
+    return d != 0 and not a & d & -d
 
 
 def min_clicks(
@@ -363,28 +365,29 @@ def min_clicks(
     is the lexicographically smallest bitset in row-major order.
     """
     basis_bits = _check_nullity_cap(config.n, max_nullity)
-    size = config.n * config.n
     cur = solve_particular(config).bits
-    best = cur
-    best_w = cur.bit_count()
-    best_key = None
+    best, best_w = cur, cur.bit_count()
     for i in range(1, 1 << len(basis_bits)):
         cur ^= basis_bits[(i & -i).bit_length() - 1]
         w = cur.bit_count()
-        if w > best_w:
-            continue
-        if w < best_w:
-            best, best_w, best_key = cur, w, None
-        else:
-            if best_key is None:
-                best_key = _reverse_bits(best, size)
-            key = _reverse_bits(cur, size)
-            if key < best_key:
-                best, best_key = cur, key
+        if w < best_w or (w == best_w and lex_less(cur, best)):
+            best, best_w = cur, w
     return best_w, CellSet(config.n, best)
 
 
 # -- pattern text format -----------------------------------------------------
+
+# A row is read and written as a string of '0'/'1' digits, column 0 first.
+_TO_CELLS = str.maketrans("01", ".#")
+_TO_DIGITS = str.maketrans(".#", "01")
+_NOT_CELLS = str.maketrans("", "", ".#")
+
+
+def _digit_rows(cs: CellSet) -> list[str]:
+    n = cs.n
+    digits = format(cs.bits, f"0{n * n}b")[::-1]
+    return [digits[i:i + n] for i in range(0, n * n, n)]
+
 
 def parse_pattern(text: str) -> CellSet:
     """Parse the shared pattern format: n lines of n '#'/'.' characters."""
@@ -394,35 +397,23 @@ def parse_pattern(text: str) -> CellSet:
     if not lines:
         raise ValueError("empty pattern")
     n = len(lines)
-    bits = 0
     for r, line in enumerate(lines):
         if len(line) != n:
             raise ValueError(
                 f"pattern is not square: line {r + 1} has {len(line)} of {n} columns"
             )
-        for c, ch in enumerate(line):
-            if ch == "#":
-                bits |= 1 << (r * n + c)
-            elif ch != ".":
-                raise ValueError(f"bad pattern character {ch!r} at line {r + 1}")
-    return CellSet(n, bits)
+        bad = line.translate(_NOT_CELLS)
+        if bad:
+            raise ValueError(f"bad pattern character {bad[0]!r} at line {r + 1}")
+    return CellSet(n, int("".join(lines)[::-1].translate(_TO_DIGITS), 2))
 
 
 def format_pattern(cs: CellSet) -> str:
     """Render a cell set in the shared pattern format, newline-terminated."""
-    n, bits = cs.n, cs.bits
-    rows = []
-    for r in range(n):
-        row = bits >> (r * n)
-        rows.append("".join("#" if (row >> c) & 1 else "." for c in range(n)))
-    return "\n".join(rows) + "\n"
+    return "\n".join(_digit_rows(cs)).translate(_TO_CELLS) + "\n"
 
 
 def format_pbm(cs: CellSet) -> str:
     """Render a cell set as an ASCII PBM (P1) image, set cells black."""
-    n, bits = cs.n, cs.bits
-    lines = [f"P1\n{n} {n}"]
-    for r in range(n):
-        row = bits >> (r * n)
-        lines.append(" ".join("1" if (row >> c) & 1 else "0" for c in range(n)))
-    return "\n".join(lines) + "\n"
+    rows = "\n".join(" ".join(row) for row in _digit_rows(cs))
+    return f"P1\n{cs.n} {cs.n}\n{rows}\n"

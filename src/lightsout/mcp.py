@@ -8,8 +8,9 @@ overlap with each region; maximizing the total click count under those
 constraints is a three-variable integer program whose optimum gives
 26k^2 - 12k + 1 clicks, and a click set realizing the optimum with the
 whole fourth region produces a configuration whose four solutions all
-have exactly that weight. That configuration plus its checks form a
-certificate that the bound is attained.
+have exactly that weight. That configuration and its witness form a
+certificate that the bound is attained, trusted only once
+``verify_certificate`` has recomputed it.
 
 An exhaustive oracle is included for small boards: the solvable
 configurations correspond one-to-one to canonical coset representatives
@@ -30,13 +31,12 @@ from .gridmap import (
     apply_clicks,
     format_pattern,
     kernel_basis,
+    lex_less,
     min_clicks,
     parse_pattern,
-    _reverse_bits,
 )
 
 __all__ = [
-    "CertificateChecks",
     "McpCertificate",
     "mcp_formula",
     "ilp_optimum",
@@ -83,21 +83,19 @@ def mcp_upper_bound(n: int) -> int:
 
 # -- exhaustive oracle -------------------------------------------------------
 
-def _scan_shard(task: tuple[int, int, tuple[int, ...], tuple[int, ...]]) -> tuple[int, int, int]:
+def _scan_shard(task: tuple[int, tuple[int, ...], tuple[int, ...]]) -> tuple[int, int]:
     """Scan one shard of coset representatives.
 
     Walks base XOR (Gray-code subsets of free_masks); for each
     representative takes the min weight over its coset members, and keeps
-    the max of those minima. Returns (weight, lex key, representative),
-    the representative with the lexicographically smallest bitset among
-    the argmax.
+    the max of those minima. Returns (weight, representative), the
+    lexicographically smallest representative among the argmax.
     """
-    size, base, free_masks, members = task
+    base, free_masks, members = task
     total = 1 << len(free_masks)
     rep = base
     best_w = -1
     best_rep = 0
-    best_key = None
     i = 0
     if len(members) == 4:
         m0, m1, m2, m3 = members
@@ -112,15 +110,8 @@ def _scan_shard(task: tuple[int, int, tuple[int, ...], tuple[int, ...]]) -> tupl
             v = (rep ^ m3).bit_count()
             if v < w:
                 w = v
-            if w >= best_w:
-                if w > best_w:
-                    best_w, best_rep, best_key = w, rep, None
-                else:
-                    if best_key is None:
-                        best_key = _reverse_bits(best_rep, size)
-                    key = _reverse_bits(rep, size)
-                    if key < best_key:
-                        best_rep, best_key = rep, key
+            if w >= best_w and (w > best_w or lex_less(rep, best_rep)):
+                best_w, best_rep = w, rep
             i += 1
             if i == total:
                 break
@@ -128,22 +119,13 @@ def _scan_shard(task: tuple[int, int, tuple[int, ...], tuple[int, ...]]) -> tupl
     else:
         while True:
             w = min((rep ^ m).bit_count() for m in members)
-            if w >= best_w:
-                if w > best_w:
-                    best_w, best_rep, best_key = w, rep, None
-                else:
-                    if best_key is None:
-                        best_key = _reverse_bits(best_rep, size)
-                    key = _reverse_bits(rep, size)
-                    if key < best_key:
-                        best_rep, best_key = rep, key
+            if w >= best_w and (w > best_w or lex_less(rep, best_rep)):
+                best_w, best_rep = w, rep
             i += 1
             if i == total:
                 break
             rep ^= free_masks[(i & -i).bit_length() - 1]
-    if best_key is None:
-        best_key = _reverse_bits(best_rep, size)
-    return best_w, best_key, best_rep
+    return best_w, best_rep
 
 
 def mcp_bruteforce(
@@ -187,7 +169,7 @@ def mcp_bruteforce(
         for b in range(shard_bits):
             if (v >> b) & 1:
                 base ^= high[b]
-        tasks.append((size, base, low, members))
+        tasks.append((base, low, members))
 
     if len(tasks) == 1:
         results = [_scan_shard(tasks[0])]
@@ -195,30 +177,32 @@ def mcp_bruteforce(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_shard, tasks))
 
-    best_w, best_key, best_rep = -1, 0, 0
-    for w, key, rep in results:
-        if w > best_w or (w == best_w and key < best_key):
-            best_w, best_key, best_rep = w, key, rep
+    best_w, best_rep = results[0]
+    for w, rep in results[1:]:
+        if w > best_w or (w == best_w and lex_less(rep, best_rep)):
+            best_w, best_rep = w, rep
     return best_w, apply_clicks(CellSet(n, best_rep))
 
 
 # -- constructive certificates ------------------------------------------------
 
-@dataclass(frozen=True)
-class CertificateChecks:
-    """Flags certifying that a worst-case construction is exact."""
+def _field(doc: dict, name: str, parse):
+    """``parse(doc[name])``, or a ValueError naming the field."""
+    if name not in doc:
+        raise ValueError(f"certificate field {name!r} is missing")
+    try:
+        return parse(doc[name])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"certificate field {name!r} is malformed: {exc}") from None
 
-    nullity_is_2: bool
-    coset_sizes_equal: bool
-    image_matches: bool
 
-    def all_pass(self) -> bool:
-        return self.nullity_is_2 and self.coset_sizes_equal and self.image_matches
+def _pattern_or_none(value) -> CellSet | None:
+    return parse_pattern(value) if value else None
 
 
 @dataclass(frozen=True)
 class McpCertificate:
-    """A worst-case configuration with the evidence that certifies it.
+    """A worst-case configuration with the witness that certifies it.
 
     When the grid's nullity is 2 the witness click set hits every kernel
     cover in exactly half its cells, so all four solutions of
@@ -233,11 +217,11 @@ class McpCertificate:
     claimed_min: int
     worst_config: CellSet | None
     witness: CellSet | None
-    checks: CertificateChecks
 
     @property
     def certified(self) -> bool:
-        return self.checks.all_pass()
+        """Whether the witness proves the claim, recomputed on every access."""
+        return self.witness is not None and verify_certificate(self)
 
     def to_json(self) -> str:
         doc = {
@@ -248,30 +232,22 @@ class McpCertificate:
             "certified": self.certified,
             "worst_config": format_pattern(self.worst_config) if self.worst_config else None,
             "witness": format_pattern(self.witness) if self.witness else None,
-            "checks": {
-                "nullity_is_2": self.checks.nullity_is_2,
-                "coset_sizes_equal": self.checks.coset_sizes_equal,
-                "image_matches": self.checks.image_matches,
-            },
         }
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> McpCertificate:
+        """Read a certificate; a stored ``certified`` or ``checks`` is ignored."""
         doc = json.loads(text)
-        checks = CertificateChecks(
-            nullity_is_2=bool(doc["checks"]["nullity_is_2"]),
-            coset_sizes_equal=bool(doc["checks"]["coset_sizes_equal"]),
-            image_matches=bool(doc["checks"]["image_matches"]),
-        )
+        if not isinstance(doc, dict):
+            raise ValueError("certificate JSON must be an object")
         return cls(
-            k=int(doc["k"]),
-            n=int(doc["n"]),
-            nullity=int(doc["nullity"]),
-            claimed_min=int(doc["claimed_min"]),
-            worst_config=parse_pattern(doc["worst_config"]) if doc["worst_config"] else None,
-            witness=parse_pattern(doc["witness"]) if doc["witness"] else None,
-            checks=checks,
+            k=_field(doc, "k", int),
+            n=_field(doc, "n", int),
+            nullity=_field(doc, "nullity", int),
+            claimed_min=_field(doc, "claimed_min", int),
+            worst_config=_field(doc, "worst_config", _pattern_or_none),
+            witness=_field(doc, "witness", _pattern_or_none),
         )
 
 
@@ -309,46 +285,30 @@ def worst_case_construct(k: int) -> McpCertificate:
             claimed_min=bound,
             worst_config=None,
             witness=None,
-            checks=CertificateChecks(False, False, False),
         )
-    rp = region_partition(k)
-    kk = k * k
-    r1, r2, r3, r4 = (reg.bits for reg in rp.regions)
-    x = (
-        _lowest_bits(r1, 2 * kk)
-        | _lowest_bits(r2, 4 * kk)
-        | _lowest_bits(r3, 4 * kk)
-        | r4
-    )
+    r1, r2, r3, r4 = (reg.bits for reg in region_partition(k).regions)
+    c1, c2, c3 = ilp_optimum(k)
+    x = _lowest_bits(r1, c1) | _lowest_bits(r2, c2) | _lowest_bits(r3, c3) | r4
     witness = CellSet(n, x)
     if len(witness) != bound:
         raise RuntimeError("constructed witness weight disagrees with the formula")
-    worst = apply_clicks(witness)
-    wx = x.bit_count()
-    checks = CertificateChecks(
-        nullity_is_2=True,
-        coset_sizes_equal=all(
-            (x ^ e.bits).bit_count() == wx for e in rp.covers
-        ),
-        image_matches=apply_clicks(witness) == worst,
-    )
     return McpCertificate(
         k=k,
         n=n,
         nullity=2,
         claimed_min=bound,
-        worst_config=worst,
+        worst_config=apply_clicks(witness),
         witness=witness,
-        checks=checks,
     )
 
 
 def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> bool:
     """Re-check a (possibly deserialized) certificate from scratch.
 
-    Recomputes every flag against the grid itself rather than trusting the
-    stored ones. With ``check_min_clicks`` the claimed minimum is also
-    confirmed by an independent coset scan of the worst configuration.
+    Everything is recomputed against the grid itself; a certificate holds
+    no stored verdict to trust. With ``check_min_clicks`` the claimed
+    minimum is also confirmed by an independent coset scan of the worst
+    configuration.
     """
     if cert.claimed_min != mcp_formula(cert.k) or cert.n != 6 * cert.k - 1:
         return False
@@ -356,7 +316,7 @@ def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> 
     if cert.nullity != len(kb):
         return False
     if len(kb) != 2 or cert.witness is None or cert.worst_config is None:
-        return not cert.certified and cert.witness is None and cert.worst_config is None
+        return cert.witness is None and cert.worst_config is None
     if len(cert.witness) != cert.claimed_min:
         return False
     if apply_clicks(cert.witness) != cert.worst_config:

@@ -10,8 +10,8 @@ truth the fast mode is checked against.
 Blocks of sides are scanned via the shared Fibonacci-polynomial sweep in
 :mod:`lightsout.gf2poly`, optionally across worker processes. Results are
 plain (n, nullity) records with CSV and JSONL round-trips, plus small
-report objects for the congruence checks, the d(2*3^k - 1) = 2 conjecture,
-and the density of d = 2 sides.
+report objects for the congruence checks and the d(2*3^k - 1) = 2
+conjecture.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ __all__ = [
     "CongruenceReport",
     "ConjectureEntry",
     "ConjectureReport",
-    "DensityReport",
     "scan_range",
     "census",
     "verify_congruences",
     "check_conjecture_2_3k",
-    "density_report",
     "write_records_csv",
     "read_records_csv",
     "write_records_jsonl",
@@ -45,7 +43,6 @@ __all__ = [
 
 DEFAULT_BLOCK_SIZE = 512
 FAST_RESIDUE = (12, 5)
-DENSITY_CEILING = 1 / 12
 
 CONGRUENCES = (
     ("n % 2 == 1", lambda n: n % 2 == 1),
@@ -135,39 +132,24 @@ def census(
 
     Fast mode only inspects n = 5 (mod 12), which the congruence checks
     justify for locating four-element kernels; the full mode scans every
-    side. With ``out`` the records are appended to the file as each block
-    completes (so long runs are inspectable mid-flight) and the file is
-    rewritten sorted at the end. ``progress`` is called with
+    side. With ``out`` the file is created before the scan, so an
+    unwritable path fails at once, and the sorted records are written to
+    it when the scan is done. ``progress`` is called with
     (sides done, sides total) after every block.
     """
-    residue = FAST_RESIDUE if fast else None
-    total = n_max
+    if out is not None:
+        open(out, "w", encoding="utf-8").close()
     done = 0
-    sink = open(out, "w", encoding="utf-8") if out is not None else None
-    if sink is not None and not jsonl:
-        sink.write("n,nullity\n")
 
-    def handle(lo: int, hi: int, records: list[ScanRecord]) -> None:
+    def tick(lo: int, hi: int, records: list[ScanRecord]) -> None:
         nonlocal done
-        if sink is not None:
-            for rec in records:
-                if jsonl:
-                    sink.write(json.dumps({"n": rec.n, "nullity": rec.nullity}) + "\n")
-                else:
-                    sink.write(f"{rec.n},{rec.nullity}\n")
-            sink.flush()
         done += hi - lo + 1
-        if progress is not None:
-            progress(done, total)
+        progress(done, n_max)
 
-    try:
-        records = scan_range(
-            1, n_max, residue=residue, workers=workers,
-            block_size=block_size, on_block=handle,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+    records = scan_range(
+        1, n_max, residue=FAST_RESIDUE if fast else None, workers=workers,
+        block_size=block_size, on_block=tick if progress is not None else None,
+    )
     if out is not None:
         if jsonl:
             write_records_jsonl(records, out)
@@ -264,44 +246,6 @@ def check_conjecture_2_3k(k_max: int) -> ConjectureReport:
         n = 2 * 3**k - 1
         entries.append(ConjectureEntry(k=k, n=n, nullity=nullity(n)))
     return ConjectureReport(entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """How common nullity-2 sides are among all sides up to a limit."""
-
-    n_max: int
-    nullity2: int
-    density: float
-    ceiling: float
-
-    @property
-    def within_ceiling(self) -> bool:
-        return self.density <= self.ceiling
-
-    def summary_lines(self) -> list[str]:
-        return [
-            f"nullity-2 sides up to {self.n_max}: {self.nullity2}",
-            f"density: {self.density:.6f} (residue-class ceiling {self.ceiling:.6f})",
-            "within ceiling" if self.within_ceiling else "EXCEEDS ceiling",
-        ]
-
-
-def density_report(records: Iterable[ScanRecord], n_max: int) -> DensityReport:
-    """Density of nullity-2 sides among 1..n_max in a scan's records.
-
-    The ceiling is 1/12: all known nullity-2 sides fall in a single
-    residue class mod 12, so their density can never pass it.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    count = sum(1 for rec in records if rec.nullity == 2 and rec.n <= n_max)
-    return DensityReport(
-        n_max=n_max,
-        nullity2=count,
-        density=count / n_max,
-        ceiling=DENSITY_CEILING,
-    )
 
 
 # -- persistence ---------------------------------------------------------------

@@ -5,6 +5,7 @@ value so argparse's own SystemExit never escapes.
 """
 
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,15 @@ def test_scan_out_csv(capsys, tmp_path):
     assert f"records written to {out_path}" in out
     records = read_records_csv(str(out_path))
     assert [r.n for r in records] == list(range(1, 31))
+
+
+def test_scan_unwritable_out_fails_before_the_scan(capsys, tmp_path):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "20000", "--workers", "1",
+                         "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1 and out == ""
+    assert "No such file or directory" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_scan_jsonl_requires_out(capsys):

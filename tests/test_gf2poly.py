@@ -4,64 +4,28 @@ import random
 
 import pytest
 
-from lightsout import gf2poly
 from lightsout.gf2poly import (
-    BinaryPolynomial,
     fib_poly,
     nullity,
     nullity_range,
-    poly_add,
     poly_compose_x_plus_1,
     poly_gcd,
     poly_mod,
-    poly_mul,
 )
 
 import naive
 
 
 def from_list(coeffs):
-    return BinaryPolynomial.from_coeffs(coeffs)
+    return sum(c << i for i, c in enumerate(coeffs))
 
 
 def to_list(p):
-    return [(p.bits >> i) & 1 for i in range(p.bits.bit_length())]
+    return [(p >> i) & 1 for i in range(p.bit_length())]
 
 
 def random_poly(rng, max_deg):
     return [rng.randrange(2) for _ in range(rng.randrange(max_deg + 1))]
-
-
-def test_zero_polynomial_degree_is_none():
-    assert BinaryPolynomial(0).degree is None
-    assert from_list([]).degree is None
-
-
-def test_degree_and_str():
-    p = from_list([1, 0, 1])  # x^2 + 1
-    assert p.degree == 2
-    assert str(p) == "x^2 + 1"
-    assert str(from_list([0, 1])) == "x"
-    assert str(from_list([1])) == "1"
-    assert str(BinaryPolynomial(0)) == "0"
-
-
-def test_add_is_xor_and_self_inverse():
-    rng = random.Random(0xF00D)
-    for _ in range(200):
-        a, b = random_poly(rng, 40), random_poly(rng, 40)
-        pa, pb = from_list(a), from_list(b)
-        assert to_list(pa + pb) == naive.p_trim(naive.p_add(a, b))
-        assert (pa + pb) + pb == pa
-        assert pa + pa == BinaryPolynomial(0)
-
-
-def test_mul_matches_oracle():
-    rng = random.Random(0xBEEF)
-    for _ in range(200):
-        a, b = random_poly(rng, 30), random_poly(rng, 30)
-        got = to_list(from_list(a) * from_list(b))
-        assert got == naive.p_trim(naive.p_mul(a, b))
 
 
 def test_mod_matches_oracle():
@@ -72,13 +36,13 @@ def test_mod_matches_oracle():
         if not naive.p_trim(b):
             continue
         checked += 1
-        got = to_list(from_list(a) % from_list(b))
+        got = to_list(poly_mod(from_list(a), from_list(b)))
         assert got == naive.p_mod(a, b)
 
 
 def test_mod_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        poly_mod(from_list([1, 1]), BinaryPolynomial(0))
+        poly_mod(from_list([1, 1]), 0)
 
 
 def test_divmod_identity():
@@ -109,7 +73,7 @@ def test_gcd_matches_oracle_and_divides():
 
 def test_gcd_of_zeros_raises():
     with pytest.raises(ValueError):
-        poly_gcd(BinaryPolynomial(0), BinaryPolynomial(0))
+        poly_gcd(0, 0)
 
 
 def test_compose_x_plus_1_matches_oracle():
@@ -154,8 +118,8 @@ def test_fib_poly_small_values(m, coeffs):
 
 def test_fib_poly_recurrence_holds():
     for m in range(3, 40):
-        x = from_list([0, 1])
-        assert fib_poly(m) == x * fib_poly(m - 1) + fib_poly(m - 2)
+        # multiplying by x is a shift, adding is XOR
+        assert fib_poly(m) == (fib_poly(m - 1) << 1) ^ fib_poly(m - 2)
 
 
 def test_fib_poly_rejects_nonpositive():
@@ -196,9 +160,3 @@ def test_nullity_range_rejects_bad_bounds():
     with pytest.raises(ValueError):
         nullity_range(8, 3)
 
-
-def test_operator_aliases():
-    a, b = from_list([1, 1, 1]), from_list([0, 1])
-    assert poly_add(a, b) == a + b == a ^ b
-    assert poly_mul(a, b) == a * b
-    assert poly_mod(a, b) == a % b

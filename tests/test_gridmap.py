@@ -13,7 +13,7 @@ from lightsout.gridmap import (
     format_pbm,
     is_solvable,
     kernel_basis,
-    lex_key,
+    lex_less,
     min_clicks,
     neighborhood,
     parse_pattern,
@@ -269,17 +269,32 @@ def test_min_clicks_tie_break_is_lexicographic():
         config = apply_clicks(rand_cellset(rng, 4))
         count, witness = min_clicks(config)
         ties = [s for s in all_solutions(config) if len(s) == count]
-        assert witness == min(ties, key=lex_key)
+        assert witness == min(ties, key=lambda s: reading_order(s.bits, config.n ** 2))
+
+
+def reading_order(bits, width):
+    """Cells as a '0'/'1' string in reading order, cell 0 first."""
+    return format(bits, f"0{width}b")[::-1]
 
 
 def test_lex_key_orders_by_reading_order():
     # at the first cell (reading order) where two sets differ, the set
     # NOT containing it sorts first: binary-string order with 0 < 1
-    a = CellSet.from_cells(3, [(0, 0)])
-    b = CellSet.from_cells(3, [(0, 1)])
-    c = CellSet.from_cells(3, [(0, 1), (2, 2)])
-    assert lex_key(b) < lex_key(a)
-    assert lex_key(b) < lex_key(c) < lex_key(a)
+    a = CellSet.from_cells(3, [(0, 0)]).bits
+    b = CellSet.from_cells(3, [(0, 1)]).bits
+    c = CellSet.from_cells(3, [(0, 1), (2, 2)]).bits
+    assert lex_less(b, a) and not lex_less(a, b)
+    assert lex_less(b, c) and lex_less(c, a)
+    assert not lex_less(a, a)
+
+
+def test_lex_less_matches_reading_order_strings():
+    rng = random.Random(0xCC)
+    for _ in range(2000):
+        width = rng.randrange(1, 40)
+        a = rng.getrandbits(width)
+        b = a ^ rng.getrandbits(width) if rng.randrange(4) else a
+        assert lex_less(a, b) == (reading_order(a, width) < reading_order(b, width))
 
 
 def test_unsolvable_error_is_a_value_error():

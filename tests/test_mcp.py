@@ -6,7 +6,6 @@ import pytest
 
 from lightsout.gridmap import CellSet, apply_clicks, kernel_basis, min_clicks
 from lightsout.mcp import (
-    CertificateChecks,
     McpCertificate,
     ilp_optimum,
     mcp_bruteforce,
@@ -133,7 +132,6 @@ def test_certificate_k2_upper_bound_only():
     assert not cert.certified
     assert cert.claimed_min == 81
     assert cert.worst_config is None and cert.witness is None
-    assert cert.checks == CertificateChecks(False, False, False)
     assert verify_certificate(cert)  # honest non-certificates verify
 
 
@@ -153,7 +151,52 @@ def test_certificate_json_shape():
     assert doc["certified"] is True
     assert doc["claimed_min"] == 15
     assert doc["worst_config"].count("\n") == 5
-    assert set(doc["checks"]) == {"nullity_is_2", "coset_sizes_equal", "image_matches"}
+    assert "checks" not in doc
+
+
+def test_stored_flags_are_not_trusted():
+    # a nullity-6 upper bound dressed up as certified stays uncertified
+    doc = json.loads(worst_case_construct(2).to_json())
+    doc["certified"] = True
+    doc["checks"] = {"nullity_is_2": True, "coset_sizes_equal": True, "image_matches": True}
+    cert = McpCertificate.from_json(json.dumps(doc))
+    assert not cert.certified
+    assert json.loads(cert.to_json())["certified"] is False
+
+
+def test_from_json_reads_files_with_stored_checks():
+    # files written before the stored flags were dropped still load
+    doc = json.loads(worst_case_construct(1).to_json())
+    doc["checks"] = {"nullity_is_2": False, "coset_sizes_equal": False, "image_matches": False}
+    cert = McpCertificate.from_json(json.dumps(doc))
+    assert cert == worst_case_construct(1)
+    assert cert.certified
+
+
+def _k1_doc(**changes):
+    doc = json.loads(worst_case_construct(1).to_json())
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("{}", "'k' is missing", id="empty-object"),
+        pytest.param("[1, 2]", "must be an object", id="list"),
+        pytest.param(_k1_doc(witness=5), "'witness' is malformed", id="witness-int"),
+        pytest.param(_k1_doc(worst_config=["#"]), "'worst_config' is malformed",
+                     id="config-list"),
+        pytest.param(_k1_doc(witness="#.\n"), "'witness' is malformed", id="witness-not-square"),
+        pytest.param(_k1_doc(k="one"), "'k' is malformed", id="k-text"),
+        pytest.param(_k1_doc(claimed_min=None), "'claimed_min' is malformed", id="claim-null"),
+        pytest.param(json.dumps({"k": 1, "n": 5, "claimed_min": 15}), "'nullity' is missing",
+                     id="nullity-missing"),
+    ],
+)
+def test_from_json_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        McpCertificate.from_json(text)
 
 
 def test_verify_rejects_tampered_claimed_min():

@@ -7,7 +7,6 @@ from lightsout.scan import (
     ScanRecord,
     census,
     check_conjecture_2_3k,
-    density_report,
     read_records_csv,
     read_records_jsonl,
     scan_range,
@@ -134,21 +133,6 @@ def test_conjecture_check_small():
 def test_conjecture_check_validation():
     with pytest.raises(ValueError):
         check_conjecture_2_3k(0)
-
-
-def test_density_report_values():
-    records = [ScanRecord(n, 2 if n in (5, 17) else 0) for n in range(1, 25)]
-    report = density_report(records, 24)
-    assert report.nullity2 == 2
-    assert report.density == pytest.approx(2 / 24)
-    assert report.within_ceiling
-    with pytest.raises(ValueError):
-        density_report(records, 0)
-
-
-def test_density_report_ignores_records_beyond_limit():
-    records = [ScanRecord(5, 2), ScanRecord(17, 2), ScanRecord(41, 2)]
-    assert density_report(records, 20).nullity2 == 2
 
 
 # -- persistence ------------------------------------------------------------------
