@@ -120,9 +120,8 @@ def _cmd_tile(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    partition = covers.region_partition(args.k)
     blocks = []
-    for i, region in enumerate(partition.regions, start=1):
+    for i, region in enumerate(covers.region_partition(args.k), start=1):
         blocks.append(f"region {i}: {len(region)} cells\n" + _emit(region, args.pbm))
     sys.stdout.write("\n".join(blocks))
     return 0

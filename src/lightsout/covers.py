@@ -15,12 +15,9 @@ count analysis in the mcp module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gridmap import CellSet, apply_clicks, kernel_basis
 
 __all__ = [
-    "RegionPartition",
     "is_even_cover",
     "tile_cover",
     "region_partition",
@@ -74,31 +71,14 @@ def tile_cover(q: CellSet, n: int, k: int) -> CellSet:
     return CellSet(side, out)
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    """The four membership regions of a nullity-2 grid of side 6k-1.
+def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:
+    """The four membership regions (R1, R2, R3, R4) of the (6k-1)x(6k-1) grid.
 
-    ``covers`` holds the three nonzero kernel elements E1, E2, E3 (with
-    E3 = E1 xor E2), labeled so that region sizes come out as
-    (4k^2, 8k^2, 8k^2, 16k^2 - 12k + 1):
-    R1 = E2 & E3, R2 = E1 & E2, R3 = E1 & E3, R4 = the rest.
-    """
-
-    k: int
-    n: int
-    regions: tuple[CellSet, CellSet, CellSet, CellSet]
-    covers: tuple[CellSet, CellSet, CellSet]
-
-    @property
-    def sizes(self) -> tuple[int, int, int, int]:
-        return tuple(len(r) for r in self.regions)  # type: ignore[return-value]
-
-
-def region_partition(k: int) -> RegionPartition:
-    """Partition the (6k-1)x(6k-1) grid by kernel cover membership.
-
-    Defined only when the grid's kernel dimension is exactly 2 (three
-    nonzero covers, four membership classes).
+    Defined only when the grid's kernel dimension is exactly 2. A cell
+    lies in none or in exactly two of the three nonzero covers (the third
+    is the XOR of the other two), so R1, R2, R3 are the pairwise cover
+    intersections, sorted by (size, first cell in row-major order), and
+    R4 is the rest. Their sizes are 4k^2, 8k^2, 8k^2 and 16k^2 - 12k + 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -110,35 +90,11 @@ def region_partition(k: int) -> RegionPartition:
             "the four-region partition is undefined"
         )
     b1, b2 = (e.bits for e in kb.basis)
-    elems = [b1, b2, b1 ^ b2]
-    full = (1 << (n * n)) - 1
-
-    # Classes are the pairwise intersections (a cell in two covers is
-    # automatically outside the third since E3 = E1 ^ E2).
-    want_r1 = 4 * k * k
-    want_r23 = 8 * k * k
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    small = [p for p in pairs if (elems[p[0]] & elems[p[1]]).bit_count() == want_r1]
-    if len(small) != 1:
-        raise ValueError("cover intersections do not match the 4k^2 region size")
-    i, j = small[0]
-    e1 = elems[3 - i - j]  # the element outside the small intersection
-    r1 = elems[i] & elems[j]
-    cand_a, cand_b = elems[i], elems[j]
-    ra, rb = e1 & cand_a, e1 & cand_b
-    if ra.bit_count() != want_r23 or rb.bit_count() != want_r23:
-        raise ValueError("cover intersections do not match the 8k^2 region sizes")
-    # Of the two 8k^2 classes, R2 is the one with the first cell in
-    # row-major order; that fixes which element is called E2.
-    if (ra & -ra) > (rb & -rb):
-        cand_a, cand_b = cand_b, cand_a
-        ra, rb = rb, ra
-    r4 = full & ~(elems[0] | elems[1] | elems[2])
-    regions = (
-        CellSet(n, r1),
-        CellSet(n, ra),
-        CellSet(n, rb),
-        CellSet(n, r4),
+    pairs = sorted(
+        (b1 & b2, b1 & ~b2, b2 & ~b1),  # E1&E2, E1&E3, E2&E3 for E3 = E1 ^ E2
+        key=lambda r: (r.bit_count(), r & -r),
     )
-    covers = (CellSet(n, e1), CellSet(n, cand_a), CellSet(n, cand_b))
-    return RegionPartition(k=k, n=n, regions=regions, covers=covers)
+    if [r.bit_count() for r in pairs] != [4 * k * k, 8 * k * k, 8 * k * k]:
+        raise ValueError("cover intersections do not match the 4k^2 and 8k^2 region sizes")
+    r4 = ((1 << (n * n)) - 1) & ~(b1 | b2)
+    return tuple(CellSet(n, r) for r in (*pairs, r4))  # type: ignore[return-value]

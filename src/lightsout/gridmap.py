@@ -27,7 +27,6 @@ __all__ = [
     "CellSet",
     "KernelBasis",
     "UnsolvableError",
-    "neighborhood",
     "apply_clicks",
     "kernel_basis",
     "is_solvable",
@@ -40,7 +39,7 @@ __all__ = [
     "format_pbm",
 ]
 
-DEFAULT_NULLITY_CAP = 20
+NULLITY_CAP = 20  # all_solutions and min_clicks enumerate at most 2^20 solutions
 
 
 class UnsolvableError(ValueError):
@@ -68,53 +67,16 @@ class CellSet:
     def full(cls, n: int) -> CellSet:
         return cls(n, (1 << (n * n)) - 1)
 
-    @classmethod
-    def from_cells(cls, n: int, cells) -> CellSet:
-        bits = 0
-        for r, c in cells:
-            if not (0 <= r < n and 0 <= c < n):
-                raise ValueError(f"cell ({r}, {c}) outside the {n}x{n} grid")
-            bits |= 1 << (r * n + c)
-        return cls(n, bits)
-
-    def cells(self) -> list[tuple[int, int]]:
-        """Set cells as (row, col) pairs in row-major order."""
-        n, bits = self.n, self.bits
-        out = []
-        while bits:
-            low = bits & -bits
-            i = low.bit_length() - 1
-            out.append((i // n, i % n))
-            bits ^= low
-        return out
-
-    def _check_same_grid(self, other: CellSet) -> None:
+    def __xor__(self, other: CellSet) -> CellSet:
         if self.n != other.n:
             raise ValueError(f"grid size mismatch: {self.n} vs {other.n}")
-
-    def __xor__(self, other: CellSet) -> CellSet:
-        self._check_same_grid(other)
         return CellSet(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: CellSet) -> CellSet:
-        self._check_same_grid(other)
-        return CellSet(self.n, self.bits & other.bits)
-
-    def __or__(self, other: CellSet) -> CellSet:
-        self._check_same_grid(other)
-        return CellSet(self.n, self.bits | other.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __contains__(self, cell: tuple[int, int]) -> bool:
-        r, c = cell
-        if not (0 <= r < self.n and 0 <= c < self.n):
-            return False
-        return (self.bits >> (r * self.n + c)) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellSet):
@@ -149,10 +111,6 @@ class KernelBasis:
     def __iter__(self) -> Iterator[CellSet]:
         return iter(self.basis)
 
-    @property
-    def nullity(self) -> int:
-        return len(self.basis)
-
     def span_nonzero(self) -> list[CellSet]:
         """All 2^d - 1 nonzero kernel elements (d must be small)."""
         vals = [0]
@@ -172,13 +130,6 @@ def _masks(n: int) -> tuple[int, int, int]:
     full = (1 << (n * n)) - 1
     first_col = full // ((1 << n) - 1)  # bit r*n for every row r
     return full, full ^ first_col, full ^ (first_col << (n - 1))
-
-
-def neighborhood(n: int, v: int) -> CellSet:
-    """Closed neighborhood of cell index v (v plus its grid neighbors)."""
-    if not 0 <= v < n * n:
-        raise ValueError(f"cell index {v} outside the {n}x{n} grid")
-    return apply_clicks(CellSet(n, 1 << v))
 
 
 def apply_clicks(clicks: CellSet) -> CellSet:
@@ -321,22 +272,22 @@ def solve_particular(config: CellSet) -> CellSet:
     return CellSet(n, clicks)
 
 
-def _check_nullity_cap(n: int, max_nullity: int) -> list[int]:
+def _capped_basis(n: int) -> list[int]:
     basis_bits = [e.bits for e in kernel_basis(n).basis]
-    if len(basis_bits) > max_nullity:
+    if len(basis_bits) > NULLITY_CAP:
         raise ValueError(
-            f"nullity {len(basis_bits)} exceeds the enumeration cap "
-            f"{max_nullity}; raise max_nullity or use min_clicks variants"
+            f"nullity {len(basis_bits)} exceeds the enumeration cap {NULLITY_CAP}"
         )
     return basis_bits
 
-def all_solutions(config: CellSet, max_nullity: int = DEFAULT_NULLITY_CAP) -> list[CellSet]:
+
+def all_solutions(config: CellSet) -> list[CellSet]:
     """Every solution of ``config``: the coset of one solution by the kernel.
 
     Exactly 2^d solutions for kernel dimension d; refuses to enumerate
-    when d exceeds ``max_nullity``.
+    when d exceeds ``NULLITY_CAP``.
     """
-    basis_bits = _check_nullity_cap(config.n, max_nullity)
+    basis_bits = _capped_basis(config.n)
     x0 = solve_particular(config)
     sols = [x0]
     cur = x0.bits
@@ -356,15 +307,14 @@ def lex_less(a: int, b: int) -> bool:
     return d != 0 and not a & d & -d
 
 
-def min_clicks(
-    config: CellSet, max_nullity: int = DEFAULT_NULLITY_CAP
-) -> tuple[int, CellSet]:
+def min_clicks(config: CellSet) -> tuple[int, CellSet]:
     """Fewest clicks solving ``config``, with a witness click set.
 
-    Scans the whole solution coset; among equal-weight minima the witness
-    is the lexicographically smallest bitset in row-major order.
+    Scans the whole solution coset (refused above ``NULLITY_CAP``); among
+    equal-weight minima the witness is the lexicographically smallest
+    bitset in row-major order.
     """
-    basis_bits = _check_nullity_cap(config.n, max_nullity)
+    basis_bits = _capped_basis(config.n)
     cur = solve_particular(config).bits
     best, best_w = cur, cur.bit_count()
     for i in range(1, 1 << len(basis_bits)):

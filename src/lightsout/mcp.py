@@ -40,7 +40,6 @@ __all__ = [
     "McpCertificate",
     "mcp_formula",
     "ilp_optimum",
-    "mcp_upper_bound",
     "mcp_bruteforce",
     "worst_case_construct",
     "verify_certificate",
@@ -72,13 +71,6 @@ def ilp_optimum(k: int) -> tuple[int, int, int]:
     assert 0 <= r1 <= 4 * kk and 0 <= r2 <= 8 * kk and 0 <= r3 <= 8 * kk
     assert 2 * (r1 + r2 + r3) == 20 * kk
     return r1, r2, r3
-
-
-def mcp_upper_bound(n: int) -> int:
-    """Upper bound on the MCP for side n = 6k-1, valid for any nullity."""
-    if n % 6 != 5:
-        raise ValueError(f"side {n} is not of the form 6k-1")
-    return mcp_formula((n + 1) // 6)
 
 
 # -- exhaustive oracle -------------------------------------------------------
@@ -174,7 +166,8 @@ def mcp_bruteforce(
     if len(tasks) == 1:
         results = [_scan_shard(tasks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool starts all its workers at once, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_scan_shard, tasks))
 
     best_w, best_rep = results[0]
@@ -194,6 +187,13 @@ def _field(doc: dict, name: str, parse):
         return parse(doc[name])
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"certificate field {name!r} is malformed: {exc}") from None
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not a JSON integer")
+    return value
 
 
 def _pattern_or_none(value) -> CellSet | None:
@@ -242,10 +242,10 @@ class McpCertificate:
         if not isinstance(doc, dict):
             raise ValueError("certificate JSON must be an object")
         return cls(
-            k=_field(doc, "k", int),
-            n=_field(doc, "n", int),
-            nullity=_field(doc, "nullity", int),
-            claimed_min=_field(doc, "claimed_min", int),
+            k=_field(doc, "k", _json_int),
+            n=_field(doc, "n", _json_int),
+            nullity=_field(doc, "nullity", _json_int),
+            claimed_min=_field(doc, "claimed_min", _json_int),
             worst_config=_field(doc, "worst_config", _pattern_or_none),
             witness=_field(doc, "witness", _pattern_or_none),
         )
@@ -286,7 +286,7 @@ def worst_case_construct(k: int) -> McpCertificate:
             worst_config=None,
             witness=None,
         )
-    r1, r2, r3, r4 = (reg.bits for reg in region_partition(k).regions)
+    r1, r2, r3, r4 = (reg.bits for reg in region_partition(k))
     c1, c2, c3 = ilp_optimum(k)
     x = _lowest_bits(r1, c1) | _lowest_bits(r2, c2) | _lowest_bits(r3, c3) | r4
     witness = CellSet(n, x)
@@ -317,6 +317,8 @@ def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> 
         return False
     if len(kb) != 2 or cert.witness is None or cert.worst_config is None:
         return cert.witness is None and cert.worst_config is None
+    if cert.witness.n != cert.n or cert.worst_config.n != cert.n:
+        return False
     if len(cert.witness) != cert.claimed_min:
         return False
     if apply_clicks(cert.witness) != cert.worst_config:

@@ -9,17 +9,18 @@ truth the fast mode is checked against.
 
 Blocks of sides are scanned via the shared Fibonacci-polynomial sweep in
 :mod:`lightsout.gf2poly`, optionally across worker processes. Results are
-plain (n, nullity) records with CSV and JSONL round-trips, plus small
-report objects for the congruence checks and the d(2*3^k - 1) = 2
+plain (n, nullity) records, written as CSV (read back too) or JSONL, plus
+small report objects for the congruence checks and the d(2*3^k - 1) = 2
 conjecture.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -38,10 +39,9 @@ __all__ = [
     "write_records_csv",
     "read_records_csv",
     "write_records_jsonl",
-    "read_records_jsonl",
 ]
 
-DEFAULT_BLOCK_SIZE = 512
+BLOCK_SIZE = 512
 FAST_RESIDUE = (12, 5)
 
 CONGRUENCES = (
@@ -59,64 +59,45 @@ class ScanRecord:
     nullity: int
 
 
-def _scan_block(task: tuple[int, int, tuple[int, int] | None]) -> list[tuple[int, int]]:
-    lo, hi, residue = task
-    if residue is None:
+def _scan_block(task: tuple[int, int, bool]) -> list[tuple[int, int]]:
+    lo, hi, fast = task
+    if not fast:
         return nullity_range(lo, hi)
-    modulus, value = residue
+    modulus, value = FAST_RESIDUE
     return nullity_range(lo, hi, include=lambda n: n % modulus == value)
 
 
 def scan_range(
     n_min: int,
     n_max: int,
-    residue: tuple[int, int] | None = None,
+    fast: bool = False,
     workers: int | None = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     on_block: Callable[[int, int, list[ScanRecord]], None] | None = None,
 ) -> list[ScanRecord]:
-    """Scan sides n_min..n_max, optionally restricted to one residue class.
+    """Scan sides n_min..n_max in blocks of ``BLOCK_SIZE`` sides.
 
-    ``residue`` is a (modulus, value) pair; only sides with
-    n % modulus == value are computed. ``on_block`` fires once per finished
-    block with (lo, hi, records), in completion order when parallel. The
-    returned list is always sorted by n regardless of worker count.
+    ``fast`` computes only the sides n = 5 (mod 12) of ``FAST_RESIDUE``.
+    ``on_block`` fires once per block with (lo, hi, records), in order of
+    n. The returned list is sorted by n regardless of worker count.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    if residue is not None:
-        modulus, value = residue
-        if modulus < 1 or not 0 <= value < modulus:
-            raise ValueError(f"bad residue class {value} mod {modulus}")
     if workers is None:
         workers = os.cpu_count() or 1
-
-    tasks = []
-    lo = n_min
-    while lo <= n_max:
-        hi = min(lo + block_size - 1, n_max)
-        tasks.append((lo, hi, residue))
-        lo = hi + 1
-
-    results: list[list[ScanRecord]] = [None] * len(tasks)  # type: ignore[list-item]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_scan_block, t): i for i, t in enumerate(tasks)}
-            for fut in as_completed(futures):
-                i = futures[fut]
-                records = [ScanRecord(n, d) for n, d in fut.result()]
-                results[i] = records
-                if on_block is not None:
-                    on_block(tasks[i][0], tasks[i][1], records)
-    else:
-        for i, t in enumerate(tasks):
-            records = [ScanRecord(n, d) for n, d in _scan_block(t)]
-            results[i] = records
+    tasks = [(lo, min(lo + BLOCK_SIZE - 1, n_max), fast)
+             for lo in range(n_min, n_max + 1, BLOCK_SIZE)]
+    workers = min(workers, len(tasks))  # a pool starts all its workers at once
+    records: list[ScanRecord] = []
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for (lo, hi, _), pairs in zip(tasks, mapper(_scan_block, tasks)):
+            block = [ScanRecord(n, d) for n, d in pairs]
+            records += block
             if on_block is not None:
-                on_block(t[0], t[1], records)
-    return [rec for block in results for rec in block]
+                on_block(lo, hi, block)
+    return records
 
 
 def census(
@@ -125,7 +106,6 @@ def census(
     workers: int | None = None,
     out: str | None = None,
     jsonl: bool = False,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple[list[ScanRecord], "CongruenceReport"]:
     """Scan all sides up to ``n_max`` and check the congruences on the way out.
@@ -146,10 +126,8 @@ def census(
         done += hi - lo + 1
         progress(done, n_max)
 
-    records = scan_range(
-        1, n_max, residue=FAST_RESIDUE if fast else None, workers=workers,
-        block_size=block_size, on_block=tick if progress is not None else None,
-    )
+    records = scan_range(1, n_max, fast=fast, workers=workers,
+                         on_block=tick if progress is not None else None)
     if out is not None:
         if jsonl:
             write_records_jsonl(records, out)
@@ -272,15 +250,3 @@ def write_records_jsonl(records: Sequence[ScanRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps({"n": rec.n, "nullity": rec.nullity}) + "\n")
-
-
-def read_records_jsonl(path: str) -> list[ScanRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            records.append(ScanRecord(n=int(doc["n"]), nullity=int(doc["nullity"])))
-    return records

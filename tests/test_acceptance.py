@@ -39,7 +39,7 @@ def test_criterion_01_nullity_agrees_with_kernel_dimension():
     t0 = time.monotonic()
     for n in range(1, 65):
         assert nullity(n) == len(kernel_basis(n)), f"disagreement at n={n}"
-    report(1, "polynomial nullity = elimination kernel dimension, n=1..64",
+    report(1, "polynomial nullity = light-chasing kernel dimension, n=1..64",
            time.monotonic() - t0, 30)
 
 

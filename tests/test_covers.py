@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from lightsout.covers import (
-    RegionPartition,
-    is_even_cover,
-    region_partition,
-    tile_cover,
-)
+from lightsout.covers import is_even_cover, region_partition, tile_cover
 from lightsout.gridmap import CellSet, apply_clicks, kernel_basis, parse_pattern
 
 
@@ -114,32 +109,32 @@ def test_tile_cover_reflection_golden():
 
 def test_region_partition_sizes_k1_k3():
     for k in (1, 3):
-        rp = region_partition(k)
-        assert rp.sizes == (4 * k**2, 8 * k**2, 8 * k**2, 16 * k**2 - 12 * k + 1)
-        assert sum(rp.sizes) == (6 * k - 1) ** 2
+        sizes = tuple(len(r) for r in region_partition(k))
+        assert sizes == (4 * k**2, 8 * k**2, 8 * k**2, 16 * k**2 - 12 * k + 1)
+        assert sum(sizes) == (6 * k - 1) ** 2
 
 
 def test_region_partition_is_a_partition():
     for k in (1, 3):
-        rp = region_partition(k)
+        n = 6 * k - 1
         union = 0
         total = 0
-        for region in rp.regions:
+        for region in region_partition(k):
+            assert region.n == n
             assert union & region.bits == 0
             union |= region.bits
             total += len(region)
-        assert union == (1 << rp.n**2) - 1
-        assert total == rp.n**2
+        assert union == (1 << n**2) - 1
+        assert total == n**2
 
 
 def test_region_membership_counts():
     # the three nonzero kernel elements sum to zero, so every cell lies
     # in exactly 0 or exactly 2 of them; regions are those classes
-    rp = region_partition(3)
-    e1, e2, e3 = (e.bits for e in rp.covers)
+    e1, e2, e3 = (e.bits for e in kernel_basis(17).span_nonzero())
     assert e1 ^ e2 ^ e3 == 0
-    r1, r2, r3, r4 = (reg.bits for reg in rp.regions)
-    for v in range(rp.n**2):
+    r1, r2, r3, r4 = (reg.bits for reg in region_partition(3))
+    for v in range(17**2):
         members = sum(1 for e in (e1, e2, e3) if (e >> v) & 1)
         region = next(
             i for i, r in enumerate((r1, r2, r3, r4), start=1) if (r >> v) & 1
@@ -151,17 +146,19 @@ def test_region_membership_counts():
 
 
 def test_region_labels_match_cover_intersections():
-    rp = region_partition(1)
-    e1, e2, e3 = (e.bits for e in rp.covers)
-    r1, r2, r3, _ = (reg.bits for reg in rp.regions)
-    assert r1 == e2 & e3
-    assert r2 == e1 & e2
-    assert r3 == e1 & e3
+    # R1, R2, R3 are the pairwise cover intersections, the 4k^2 one
+    # first, then the 8k^2 ones by their first cell in row-major order
+    for k in (1, 3):
+        e1, e2, e3 = (e.bits for e in kernel_basis(6 * k - 1).span_nonzero())
+        r1, r2, r3, _ = (reg.bits for reg in region_partition(k))
+        assert {r1, r2, r3} == {e1 & e2, e1 & e3, e2 & e3}
+        assert r1.bit_count() == 4 * k * k
+        assert (r2 & -r2) < (r3 & -r3)
 
 
 def test_region_partition_k1_corners():
-    rp = region_partition(1)
-    assert set(rp.regions[0].cells()) == {(0, 0), (0, 4), (4, 0), (4, 4)}
+    r1 = region_partition(1)[0]
+    assert r1.bits == (1 << 0) | (1 << 4) | (1 << 20) | (1 << 24)  # the four corners
 
 
 def test_region_partition_rejects_other_nullities():
@@ -172,7 +169,6 @@ def test_region_partition_rejects_other_nullities():
 
 
 def test_region_partition_type():
-    rp = region_partition(1)
-    assert isinstance(rp, RegionPartition)
-    assert rp.n == 5 and rp.k == 1
-    assert len(rp.covers) == 3 and len(rp.regions) == 4
+    regions = region_partition(1)
+    assert isinstance(regions, tuple) and len(regions) == 4
+    assert all(isinstance(r, CellSet) and r.n == 5 for r in regions)

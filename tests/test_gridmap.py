@@ -15,7 +15,6 @@ from lightsout.gridmap import (
     kernel_basis,
     lex_less,
     min_clicks,
-    neighborhood,
     parse_pattern,
     solve_particular,
 )
@@ -36,27 +35,23 @@ def span_bits(n):
 def test_cellset_constructors():
     assert CellSet.empty(3).bits == 0
     assert CellSet.full(3).bits == (1 << 9) - 1
-    cs = CellSet.from_cells(3, [(0, 0), (2, 1)])
-    assert cs.bits == 1 | (1 << 7)
-    assert cs.cells() == [(0, 0), (2, 1)]
+    assert CellSet(3, 1 | (1 << 7)).bits == 1 | (1 << 7)
 
 
 def test_cellset_rejects_out_of_range_bits():
     with pytest.raises(ValueError):
         CellSet(2, 1 << 4)
     with pytest.raises(ValueError):
-        CellSet.from_cells(2, [(2, 0)])
+        CellSet(2, -1)
     with pytest.raises(ValueError):
         CellSet(0)
 
 
 def test_cellset_set_algebra():
-    a = CellSet.from_cells(3, [(0, 0), (1, 1)])
-    b = CellSet.from_cells(3, [(1, 1), (2, 2)])
-    assert (a ^ b).cells() == [(0, 0), (2, 2)]
-    assert (a & b).cells() == [(1, 1)]
-    assert (a | b).cells() == [(0, 0), (1, 1), (2, 2)]
-    assert len(a) == 2 and (1, 1) in a and (0, 2) not in a
+    a = CellSet(3, (1 << 0) | (1 << 4))  # cells (0, 0) and (1, 1)
+    b = CellSet(3, (1 << 4) | (1 << 8))  # cells (1, 1) and (2, 2)
+    assert (a ^ b).bits == (1 << 0) | (1 << 8)
+    assert len(a) == 2
     assert a != b and a == CellSet(3, a.bits)
     assert len({a, CellSet(3, a.bits)}) == 1
 
@@ -78,20 +73,16 @@ def test_cellset_bool_and_repr():
     "v, count", [(0, 3), (2, 4), (12, 5), (24, 3), (10, 4)]
 )
 def test_neighborhood_sizes_5x5(v, count):
-    assert len(neighborhood(5, v)) == count
+    assert len(apply_clicks(CellSet(5, 1 << v))) == count
 
 
 def test_neighborhood_matches_oracle():
+    # one click lights exactly the cell's closed neighborhood
     for n in (1, 2, 3, 4, 5):
         for v in range(n * n):
-            assert neighborhood(n, v).bits == naive.neighborhood_naive(n, v // n, v % n)
-
-
-def test_neighborhood_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        neighborhood(3, 9)
-    with pytest.raises(ValueError):
-        neighborhood(3, -1)
+            assert apply_clicks(CellSet(n, 1 << v)).bits == naive.neighborhood_naive(
+                n, v // n, v % n
+            )
 
 
 def test_apply_clicks_matches_oracle():
@@ -214,7 +205,7 @@ def test_all_solutions_structure():
 
 
 def test_all_solutions_differ_by_kernel():
-    config = apply_clicks(CellSet.from_cells(5, [(2, 2)]))
+    config = apply_clicks(CellSet(5, 1 << 12))  # click the center
     sols = all_solutions(config)
     diffs = {(sols[0] ^ s).bits for s in sols}
     assert diffs == span_bits(5)
@@ -226,11 +217,11 @@ def test_all_solutions_unsolvable():
 
 
 def test_nullity_cap_refuses_big_kernels():
-    config = apply_clicks(CellSet.full(4))
-    with pytest.raises(ValueError, match="nullity"):
-        all_solutions(config, max_nullity=2)
-    with pytest.raises(ValueError, match="nullity"):
-        min_clicks(config, max_nullity=2)
+    config = apply_clicks(CellSet.full(39))  # nullity 32, over the cap of 20
+    with pytest.raises(ValueError, match="nullity 32"):
+        all_solutions(config)
+    with pytest.raises(ValueError, match="nullity 32"):
+        min_clicks(config)
 
 
 def test_min_clicks_matches_exhaustive_oracle():
@@ -280,9 +271,9 @@ def reading_order(bits, width):
 def test_lex_key_orders_by_reading_order():
     # at the first cell (reading order) where two sets differ, the set
     # NOT containing it sorts first: binary-string order with 0 < 1
-    a = CellSet.from_cells(3, [(0, 0)]).bits
-    b = CellSet.from_cells(3, [(0, 1)]).bits
-    c = CellSet.from_cells(3, [(0, 1), (2, 2)]).bits
+    a = 1 << 0  # cell (0, 0)
+    b = 1 << 1  # cell (0, 1)
+    c = (1 << 1) | (1 << 8)  # cells (0, 1) and (2, 2)
     assert lex_less(b, a) and not lex_less(a, b)
     assert lex_less(b, c) and lex_less(c, a)
     assert not lex_less(a, a)
@@ -313,11 +304,11 @@ def test_pattern_round_trip():
 
 def test_parse_pattern_golden():
     cs = parse_pattern("#..\n.#.\n..#\n")
-    assert cs == CellSet.from_cells(3, [(0, 0), (1, 1), (2, 2)])
+    assert cs == CellSet(3, (1 << 0) | (1 << 4) | (1 << 8))
 
 
 def test_parse_pattern_tolerates_missing_final_newline():
-    assert parse_pattern("#.\n.#") == CellSet.from_cells(2, [(0, 0), (1, 1)])
+    assert parse_pattern("#.\n.#") == CellSet(2, (1 << 0) | (1 << 3))
 
 
 @pytest.mark.parametrize(
@@ -337,12 +328,12 @@ def test_parse_pattern_rejects_malformed(text):
 
 
 def test_format_pattern_golden():
-    cs = CellSet.from_cells(2, [(0, 1), (1, 0)])
+    cs = CellSet(2, (1 << 1) | (1 << 2))
     assert format_pattern(cs) == ".#\n#.\n"
 
 
 def test_format_pbm_golden():
-    cs = CellSet.from_cells(2, [(0, 0), (1, 1)])
+    cs = CellSet(2, (1 << 0) | (1 << 3))
     assert format_pbm(cs) == "P1\n2 2\n1 0\n0 1\n"
 
 

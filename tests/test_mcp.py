@@ -1,5 +1,6 @@
 """Worst-case click counts: formula, exhaustive oracle, certificates."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,6 @@ from lightsout.mcp import (
     ilp_optimum,
     mcp_bruteforce,
     mcp_formula,
-    mcp_upper_bound,
     verify_certificate,
     worst_case_construct,
 )
@@ -43,14 +43,6 @@ def test_ilp_plus_region4_equals_formula():
     for k in (1, 2, 3, 4):
         r4 = 16 * k * k - 12 * k + 1
         assert sum(ilp_optimum(k)) + r4 == mcp_formula(k)
-
-
-def test_upper_bound_side_form():
-    assert mcp_upper_bound(5) == 15
-    assert mcp_upper_bound(17) == 199
-    assert mcp_upper_bound(11) == 81  # valid bound even with nullity 6
-    with pytest.raises(ValueError):
-        mcp_upper_bound(6)
 
 
 # -- exhaustive oracle ------------------------------------------------------------
@@ -95,6 +87,11 @@ def test_bruteforce_worker_sharding_is_deterministic():
     sharded = mcp_bruteforce(5, workers=2)
     assert serial[0] == sharded[0] == 15
     assert serial[1] == sharded[1]
+
+
+def test_bruteforce_pool_is_no_larger_than_its_shards(pool_sizes):
+    assert mcp_bruteforce(5, workers=64)[0] == 15
+    assert pool_sizes == [16]  # 4 shard bits, so 16 shards
 
 
 # -- certificates ------------------------------------------------------------------
@@ -192,6 +189,9 @@ def _k1_doc(**changes):
         pytest.param(_k1_doc(claimed_min=None), "'claimed_min' is malformed", id="claim-null"),
         pytest.param(json.dumps({"k": 1, "n": 5, "claimed_min": 15}), "'nullity' is missing",
                      id="nullity-missing"),
+        pytest.param(_k1_doc(k=1.9), "'k' is malformed", id="k-float"),
+        pytest.param(_k1_doc(k="1"), "'k' is malformed", id="k-digit-text"),
+        pytest.param(_k1_doc(k=True), "'k' is malformed", id="k-bool"),
     ],
 )
 def test_from_json_rejects_malformed_input(text, message):
@@ -219,6 +219,16 @@ def test_verify_rejects_tampered_config():
         doc["worst_config"][:first_dot] + "#" + doc["worst_config"][first_dot + 1:]
     )
     assert not verify_certificate(McpCertificate.from_json(json.dumps(doc)))
+
+
+def test_verify_rejects_certificate_from_another_grid():
+    # the k=1 witness bits read as a 6x6 board: weight 15, still half of
+    # every 5x5 cover, and on the 6x6 (nullity 0) its own unique solution
+    cert = worst_case_construct(1)
+    witness = CellSet(6, cert.witness.bits)
+    foreign = dataclasses.replace(cert, witness=witness, worst_config=apply_clicks(witness))
+    assert not verify_certificate(foreign, check_min_clicks=True)
+    assert not McpCertificate.from_json(foreign.to_json()).certified
 
 
 def test_verify_rejects_wrong_nullity_claim():

@@ -1,10 +1,13 @@
-"""The benchmark's answer checks, run against this checkout.
+"""The benchmark's answer checks and tracer, run against this checkout.
 
 perfbench/ holds the benchmark and its own validator suite; running that
 suite here means a change to certificate JSON or CLI output that the
-benchmark would reject fails the ordinary test run too.
+benchmark would reject fails the ordinary test run too. The tracer test
+does the same for ``--trace 1``, which wraps public functions by name.
 """
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +21,19 @@ def test_perfbench_validator_suite_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_tracer_targets_resolve_and_uninstall():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {m: importlib.import_module(f"lightsout.{m}") for m in tracer.MODULES}
+    before = {(m, attr): getattr(modules[m], attr) for m, attr, _ in tracer.TARGETS}
+    t = tracer.Tracer()
+    t.install()  # raises AttributeError if a target name is gone
+    try:
+        for (m, attr), orig in before.items():
+            assert getattr(modules[m], attr) is not orig, f"{m}.{attr} not wrapped"
+    finally:
+        t.uninstall()
+    assert {key: getattr(modules[key[0]], key[1]) for key in before} == before

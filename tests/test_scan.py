@@ -1,5 +1,7 @@
 """Census machinery: block scans, reports, persistence."""
 
+import json
+
 import pytest
 
 from lightsout.gf2poly import nullity
@@ -8,7 +10,6 @@ from lightsout.scan import (
     census,
     check_conjecture_2_3k,
     read_records_csv,
-    read_records_jsonl,
     scan_range,
     verify_congruences,
     write_records_csv,
@@ -29,13 +30,13 @@ def test_scan_range_agrees_with_pointwise_nullity():
 
 
 def test_scan_range_block_size_invariance():
-    full = scan_range(1, 90)
-    assert scan_range(1, 90, block_size=7) == full
-    assert scan_range(1, 90, block_size=90) == full
+    # blocks start at n_min, so the two halves are cut at other sides
+    full = scan_range(1, 1100, workers=1)
+    assert scan_range(1, 300, workers=1) + scan_range(301, 1100, workers=1) == full
 
 
 def test_scan_range_residue_filter():
-    records = scan_range(1, 200, residue=(12, 5))
+    records = scan_range(1, 200, fast=True)
     assert [r.n for r in records] == list(range(5, 201, 12))
     full = {r.n: r.nullity for r in scan_range(1, 200)}
     assert all(full[r.n] == r.nullity for r in records)
@@ -46,24 +47,28 @@ def test_scan_range_validation():
         scan_range(0, 10)
     with pytest.raises(ValueError):
         scan_range(10, 5)
-    with pytest.raises(ValueError):
-        scan_range(1, 10, block_size=0)
-    with pytest.raises(ValueError):
-        scan_range(1, 10, residue=(12, 13))
-    with pytest.raises(ValueError):
-        scan_range(1, 10, residue=(0, 0))
 
 
 def test_scan_range_on_block_spans_cover_range():
-    seen = []
-    scan_range(1, 100, block_size=32, on_block=lambda lo, hi, recs: seen.append((lo, hi)))
-    assert sorted(seen) == [(1, 32), (33, 64), (65, 96), (97, 100)]
+    for workers in (1, 2):
+        seen = []
+        scan_range(1, 1100, workers=workers,
+                   on_block=lambda lo, hi, recs: seen.append((lo, hi, len(recs))))
+        assert seen == [(1, 512, 512), (513, 1024, 512), (1025, 1100, 76)]
 
 
 def test_scan_range_parallel_matches_serial():
-    serial = scan_range(1, 300, workers=1, block_size=64)
-    parallel = scan_range(1, 300, workers=2, block_size=64)
+    serial = scan_range(1, 1300, workers=1)  # three 512-side blocks
+    parallel = scan_range(1, 1300, workers=2)
     assert serial == parallel
+
+
+def test_scan_pool_is_no_larger_than_its_blocks(pool_sizes):
+    records = scan_range(1, 1100, workers=64)
+    assert records == scan_range(1, 1100, workers=1)
+    assert pool_sizes == [3]  # three blocks of at most 512 sides
+    scan_range(1, 512, workers=64)  # one block runs in-process
+    assert pool_sizes == [3]
 
 
 def test_census_fast_agrees_with_full_under_500():
@@ -87,7 +92,8 @@ def test_census_writes_sorted_csv(tmp_path):
 def test_census_writes_jsonl(tmp_path):
     out = tmp_path / "census.jsonl"
     records, _ = census(60, fast=True, out=str(out), jsonl=True)
-    assert read_records_jsonl(str(out)) == records
+    lines = out.read_text().splitlines()
+    assert [ScanRecord(**json.loads(line)) for line in lines] == records
 
 
 def test_census_progress_reaches_total():
@@ -154,10 +160,4 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "r.jsonl"
     records = [ScanRecord(4, 4), ScanRecord(5, 2)]
     write_records_jsonl(records, str(path))
-    assert read_records_jsonl(str(path)) == records
-
-
-def test_jsonl_reader_skips_blank_lines(tmp_path):
-    path = tmp_path / "r.jsonl"
-    path.write_text('{"n": 5, "nullity": 2}\n\n{"n": 6, "nullity": 0}\n')
-    assert read_records_jsonl(str(path)) == [ScanRecord(5, 2), ScanRecord(6, 0)]
+    assert path.read_text() == '{"n": 4, "nullity": 4}\n{"n": 5, "nullity": 2}\n'
