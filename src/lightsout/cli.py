@@ -219,7 +219,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scan", help="nullity census up to n_max")
     p.add_argument("n_max", type=_positive_int)
     p.add_argument("--fast", action="store_true",
-                   help="only sides in the residue class 5 mod 12")
+                   help="only sides n = 5 mod 12, by the halving identities; "
+                        "d(n) is always even and every d = 2 side is 5 mod 12, "
+                        "so the d = 2 count is exact")
     p.add_argument("--out", help="write records here (CSV unless --jsonl)")
     p.add_argument("--jsonl", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=None)

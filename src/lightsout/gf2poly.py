@@ -11,6 +11,19 @@ the click map on an n-by-n grid equals deg gcd(f(x), f(x+1)) where f is
 the (n+1)-st Fibonacci polynomial over GF(2), under the convention
 f_1 = 1, f_2 = x, f_m = x*f_{m-1} + f_{m-2}. That convention is validated
 against an independent Gaussian-elimination oracle in the test suite.
+
+Two routes compute it. ``nullity_range`` takes that GCD directly for
+every side of a block, sharing one sweep of the recurrence. ``nullity``
+uses the halving identities (Sutner, TCS 2000; Hunziker, Machiavelo &
+Park, TCS 2004), which follow from the doubling formulas
+f_{2k} = x*f_k^2 and f_{2k+1} = (f_k + f_{k+1})^2:
+
+    d(2m-1) = 2*d(m-1) + 2*[3 | m],   d(0) = 0,
+    d(2m)   = 2*deg gcd(h, h(x+1)),   h = f_m + f_{m+1}.
+
+So d(n) is always even, and d(n) = 2 exactly when n = 2m-1 with
+m = 3 (mod 6) and d(m-1) = 0: every nullity-2 side is 5 mod 12, and such
+a side costs one GCD of degree about n/4.
 """
 
 from __future__ import annotations
@@ -68,35 +81,58 @@ def poly_compose_x_plus_1(a: int) -> int:
     return poly_compose_x_plus_1(lo) ^ hi ^ (hi << m)
 
 
+def _square(a: int) -> int:
+    """a(x)^2 over GF(2): bit i moves to bit 2i (binary digits read in base 4)."""
+    return int(format(a, "b"), 4)
+
+
+def _fib_pair(m: int) -> tuple[int, int]:
+    """(f_m, f_{m+1}) by doubling from (f_0, f_1) = (0, 1), one bit of m at a time."""
+    a, b = 0, 1
+    for bit in format(m, "b"):
+        odd = _square(a ^ b)  # f_{2k+1} = (f_k + f_{k+1})^2
+        a, b = (odd, _square(b) << 1) if bit == "1" else (_square(a) << 1, odd)
+    return a, b
+
+
 def fib_poly(n: int) -> int:
     """The n-th Fibonacci polynomial over GF(2): f_1 = 1, f_2 = x, f_m = x*f_{m-1} + f_{m-2}."""
     if n < 1:
         raise ValueError("fib_poly is defined for n >= 1")
-    prev, cur = 0, 1
-    for _ in range(n - 1):
-        prev, cur = cur, (cur << 1) ^ prev
-    return cur
+    return _fib_pair(n)[0]
 
 
 def nullity(n: int) -> int:
-    """Kernel dimension of the click map on the n-by-n grid.
+    """Kernel dimension of the click map on the n-by-n grid, by the halving identities.
 
-    Computed as deg gcd(f(x), f(x+1)) for f the (n+1)-st Fibonacci
-    polynomial over GF(2).
+    While n = 2m-1 is odd, d(n) = 2*d(m-1) + 2*[3 | m]; an even n = 2m
+    ends the loop with one GCD, d(2m) = 2*deg gcd(h, h(x+1)) for
+    h = f_m + f_{m+1}.
     """
     if n < 1:
         raise ValueError("grid side length must be >= 1")
-    return _nullity_of_fib(fib_poly(n + 1))
+    d, scale = 0, 1
+    while n % 2:
+        m = (n + 1) // 2
+        if m % 3 == 0:
+            d += 2 * scale
+        scale *= 2
+        n = m - 1
+    if n:
+        f_m, f_m1 = _fib_pair(n // 2)
+        d += 2 * scale * _gcd_degree(f_m ^ f_m1)
+    return d
 
 
 def nullity_range(
     lo: int, hi: int, include: Callable[[int], bool] | None = None
 ) -> list[tuple[int, int]]:
-    """(n, nullity(n)) for every n in [lo, hi] passing ``include``.
+    """(n, d(n)) for every n in [lo, hi] passing ``include``, by direct GCDs.
 
-    One sweep of the Fibonacci recurrence is shared by all n, so scanning
-    a contiguous block costs one polynomial build plus a GCD per reported
-    n instead of a fresh build per n.
+    Each reported n costs one deg gcd(f_{n+1}, f_{n+1}(x+1)), independent
+    of the identities behind ``nullity``. One sweep of the Fibonacci
+    recurrence is shared by all n, so a contiguous block costs one
+    polynomial build instead of a fresh build per n.
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
@@ -105,10 +141,11 @@ def nullity_range(
     for k in range(2, hi + 2):
         n = k - 1
         if n >= lo and (include is None or include(n)):
-            out.append((n, _nullity_of_fib(cur)))
+            out.append((n, _gcd_degree(cur)))
         prev, cur = cur, (cur << 1) ^ prev
     return out
 
 
-def _nullity_of_fib(f: int) -> int:
+def _gcd_degree(f: int) -> int:
+    """deg gcd(f(x), f(x+1))."""
     return poly_gcd(f, poly_compose_x_plus_1(f)).bit_length() - 1

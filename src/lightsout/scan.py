@@ -2,13 +2,17 @@
 
 Sweeping n and recording the kernel dimension d(n) locates the rare sides
 whose grids have exactly a four-element kernel (d = 2), the ones where the
-worst-case click analysis applies. Every such side found so far is odd and
-congruent to 5 mod 6, in fact 5 mod 12, so the census offers a fast mode
-that only inspects n = 5 (mod 12); a full sweep of every n is the ground
-truth the fast mode is checked against.
+worst-case click analysis applies. By the halving identities in
+:mod:`lightsout.gf2poly`, d(n) is always even, and d(n) = 2 exactly when
+n = 2m-1 with m = 3 (mod 6) and d(m-1) = 0, so every such side is 5 mod 12.
+The census therefore offers a fast mode, exact for d = 2, that only
+inspects n = 5 (mod 12) and computes each d(n) by those identities, one
+GCD of degree about n/4 a side. The full mode takes one direct GCD of
+degree about n per side over the shared Fibonacci-polynomial sweep; it is
+the ground truth the fast mode is checked against. The congruence audit
+runs on both as a regression check.
 
-Blocks of sides are scanned via the shared Fibonacci-polynomial sweep in
-:mod:`lightsout.gf2poly`, optionally across worker processes. Results are
+Blocks of sides are scanned optionally across worker processes. Results are
 plain (n, nullity) records, written as CSV (read back too) or JSONL, plus
 small report objects for the congruence checks and the d(2*3^k - 1) = 2
 conjecture.
@@ -64,7 +68,8 @@ def _scan_block(task: tuple[int, int, bool]) -> list[tuple[int, int]]:
     if not fast:
         return nullity_range(lo, hi)
     modulus, value = FAST_RESIDUE
-    return nullity_range(lo, hi, include=lambda n: n % modulus == value)
+    first = lo + (value - lo) % modulus
+    return [(n, nullity(n)) for n in range(first, hi + 1, modulus)]
 
 
 def scan_range(
@@ -110,12 +115,12 @@ def census(
 ) -> tuple[list[ScanRecord], "CongruenceReport"]:
     """Scan all sides up to ``n_max`` and check the congruences on the way out.
 
-    Fast mode only inspects n = 5 (mod 12), which the congruence checks
-    justify for locating four-element kernels; the full mode scans every
-    side. With ``out`` the file is created before the scan, so an
-    unwritable path fails at once, and the sorted records are written to
-    it when the scan is done. ``progress`` is called with
-    (sides done, sides total) after every block.
+    Fast mode only inspects n = 5 (mod 12), where the halving identities
+    place every four-element kernel; the full mode scans every side.
+    With ``out`` the file is created before the scan, so an unwritable
+    path fails at once, and the sorted records are written to it when
+    the scan is done. ``progress`` is called with (sides done, sides
+    total) after every block.
     """
     if out is not None:
         open(out, "w", encoding="utf-8").close()

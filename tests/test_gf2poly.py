@@ -117,9 +117,11 @@ def test_fib_poly_small_values(m, coeffs):
 
 
 def test_fib_poly_recurrence_holds():
-    for m in range(3, 40):
-        # multiplying by x is a shift, adding is XOR
-        assert fib_poly(m) == (fib_poly(m - 1) << 1) ^ fib_poly(m - 2)
+    # fib_poly doubles; the sweep multiplies by x (a shift) and adds (XOR)
+    prev, cur = 0, 1  # f_0, f_1
+    for m in range(1, 2001):
+        assert fib_poly(m) == cur, m
+        prev, cur = cur, (cur << 1) ^ prev
 
 
 def test_fib_poly_rejects_nonpositive():
@@ -141,6 +143,12 @@ def test_nullity_small_table():
 def test_nullity_matches_oracle():
     for n in range(1, 24):
         assert nullity(n) == naive.nullity_naive(n), n
+
+
+def test_halving_identities_match_the_direct_gcd():
+    # both parities, so both identities and every depth of the odd loop
+    for n, d in nullity_range(1, 4000):
+        assert nullity(n) == d, n
 
 
 def test_nullity_range_agrees_with_pointwise():

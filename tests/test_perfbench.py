@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from lightsout.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,10 +25,15 @@ def test_perfbench_validator_suite_passes():
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
-def test_tracer_targets_resolve_and_uninstall():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve_and_uninstall():
+    tracer = _load_tracer()
     modules = {m: importlib.import_module(f"lightsout.{m}") for m in tracer.MODULES}
     before = {(m, attr): getattr(modules[m], attr) for m, attr, _ in tracer.TARGETS}
     t = tracer.Tracer()
@@ -37,3 +44,16 @@ def test_tracer_targets_resolve_and_uninstall():
     finally:
         t.uninstall()
     assert {key: getattr(modules[key[0]], key[1]) for key in before} == before
+
+
+def test_nullity_is_one_span_per_call(capsys):
+    # a self-recursive nullity would record nested spans and inflate
+    # the benchmark's gf2poly.nullity.calls
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        assert main(["nullity", "24999"]) == 0
+    finally:
+        t.uninstall()
+    assert capsys.readouterr().out == "32\n"
+    assert [span[0] for span in t.spans].count("gf2poly.nullity") == 1

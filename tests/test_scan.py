@@ -42,6 +42,20 @@ def test_scan_range_residue_filter():
     assert all(full[r.n] == r.nullity for r in records)
 
 
+def test_fast_scan_equals_the_filtered_full_scan_at_every_edge():
+    for lo in range(1, 61):
+        for hi in range(lo, 61):
+            expected = [r for r in scan_range(lo, hi) if r.n % 12 == 5]
+            assert scan_range(lo, hi, fast=True) == expected, (lo, hi)
+
+
+def test_fast_scan_records_match_the_full_scan_to_6000():
+    # every record's nullity, not only which sides have d = 2
+    expected = [r for r in scan_range(1, 6000) if r.n % 12 == 5]
+    for workers in (1, 2):
+        assert scan_range(1, 6000, fast=True, workers=workers) == expected
+
+
 def test_scan_range_validation():
     with pytest.raises(ValueError):
         scan_range(0, 10)
