@@ -89,8 +89,7 @@ def _cmd_mcp(args) -> int:
         raise ValueError("give exactly one of a side length n or --k")
     if args.brute:
         n = args.n if args.n is not None else 6 * args.k - 1
-        value, _ = mcp.mcp_bruteforce(n, budget_bits=args.budget_bits,
-                                      workers=args.workers)
+        value, _ = mcp.mcp_bruteforce(n, budget_bits=args.budget_bits)
         print(value)
         return 0
     if args.k is not None:
@@ -192,14 +191,16 @@ def _build_parser() -> _Parser:
                    help="parameter k for side 6k-1")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--brute", action="store_true",
-                      help="exhaustive coset scan (small n)")
+                      help="exact search over every kernel coset (small n)")
     mode.add_argument("--certify", action="store_true",
                       help="constructive certificate for side 6k-1")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--budget-bits", type=_positive_int,
                    default=mcp.DEFAULT_BUDGET_BITS,
                    help="refuse brute-force scans beyond this many coset bits")
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="accepted for compatibility; no effect on mcp, "
+                        "whose search runs in one process")
     p.set_defaults(func=_cmd_mcp)
 
     p = sub.add_parser("tile", help="tile an (n-1)x(n-1) even parity cover "

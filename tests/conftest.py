@@ -1,13 +1,13 @@
 """Shared test settings and fixtures.
 
 Hypothesis draws the same examples on every run, and ``pool_sizes`` lets a
-test see how large a process pool the library would start without
-starting one.
+test see how large a process pool ``scan`` would start without starting
+one.
 """
 
 import pytest
 
-from lightsout import mcp, scan
+from lightsout import scan
 
 try:
     from hypothesis import settings
@@ -20,7 +20,7 @@ else:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the process pools of ``mcp`` and ``scan`` for an in-process stub.
+    """Swap the process pool of ``scan`` for an in-process stub.
 
     Returns the list of ``max_workers`` each pool was created with.
     """
@@ -39,6 +39,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    for module in (mcp, scan):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
     return sizes

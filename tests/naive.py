@@ -207,3 +207,36 @@ def brute_mcp(n: int) -> int:
         if best_by_image.get(image, size + 1) > w:
             best_by_image[image] = w
     return max(best_by_image.values())
+
+
+def coset_leader_mcp(n: int) -> int:
+    """Worst-case minimum click count as the largest coset-leader weight.
+
+    Picks d cells on which the kernel span projects one-to-one, so every
+    coset has exactly one representative clear on them, then walks those
+    representatives in Gray-code order and keeps the max over cosets of
+    the min weight of ``x ^ e`` over the span.
+    """
+    size = n * n
+    span = sorted(kernel_span_naive(n))
+    fixed = 0
+    for c in range(size):
+        if len({e & fixed for e in span}) == len(span):
+            break
+        if len({e & (fixed | 1 << c) for e in span}) > len({e & fixed for e in span}):
+            fixed |= 1 << c
+    free = [1 << c for c in range(size) if not (fixed >> c) & 1]
+    total = 1 << len(free)
+    best = 0
+    x = 0
+    for i in range(1, total + 1):
+        w = size
+        for e in span:  # min((x ^ e).bit_count() for e in span), unrolled
+            v = (x ^ e).bit_count()
+            if v < w:
+                w = v
+        if w > best:
+            best = w
+        if i < total:
+            x ^= free[(i & -i).bit_length() - 1]
+    return best

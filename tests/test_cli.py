@@ -128,6 +128,12 @@ def test_mcp_brute_4(capsys):
     assert run(capsys, "mcp", "4", "--brute") == (0, "7\n", "")
 
 
+def test_mcp_workers_has_no_effect_on_brute(capsys):
+    expected = (0, "15\n", "")
+    assert run(capsys, "mcp", "5", "--brute") == expected
+    assert run(capsys, "mcp", "5", "--brute", "--workers", "1") == expected
+
+
 def test_mcp_certify_k1(capsys):
     code, out, _ = run(capsys, "mcp", "--k", "1", "--certify")
     assert code == 0

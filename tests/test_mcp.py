@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lightsout import mcp
 from lightsout.gridmap import CellSet, apply_clicks, kernel_basis, min_clicks
 from lightsout.mcp import (
     McpCertificate,
@@ -81,17 +82,39 @@ def test_bruteforce_rejects_nonpositive():
         mcp_bruteforce(0)
 
 
-def test_bruteforce_worker_sharding_is_deterministic():
-    # the sharded path must reproduce the serial answer bit for bit
-    serial = mcp_bruteforce(5, workers=1)
-    sharded = mcp_bruteforce(5, workers=2)
-    assert serial[0] == sharded[0] == 15
-    assert serial[1] == sharded[1]
+# (value, worst configuration bits) of the earlier Gray-code scan
+PINNED = {
+    1: (1, 0x1),
+    2: (4, 0xF),
+    3: (9, 0x155),
+    4: (7, 0x5218),
+    5: (15, 0x116FCEA),
+    7: (49, 0x105F3E7CF9F41),
+}
 
 
-def test_bruteforce_pool_is_no_larger_than_its_shards(pool_sizes):
-    assert mcp_bruteforce(5, workers=64)[0] == 15
-    assert pool_sizes == [16]  # 4 shard bits, so 16 shards
+def test_bruteforce_answers_are_pinned_bit_for_bit():
+    for n, (value, bits) in PINNED.items():
+        got, worst = mcp_bruteforce(n)
+        assert (got, worst.n, worst.bits) == (value, n, bits), f"n={n}"
+
+
+@pytest.mark.parametrize("n, value", [(4, 7), (5, 15)])
+def test_bruteforce_matches_coset_leader_oracle(n, value):
+    assert naive.coset_leader_mcp(n) == value
+    assert mcp_bruteforce(n)[0] == value
+
+
+def test_bruteforce_refuses_before_building_the_kernel(monkeypatch):
+    def no_kernel(n):
+        raise AssertionError(f"kernel_basis({n}) built for a search that never runs")
+
+    monkeypatch.setattr(mcp, "kernel_basis", no_kernel)
+    with pytest.raises(ValueError, match="budget"):
+        mcp_bruteforce(2999)  # nullity 6
+    with pytest.raises(ValueError, match="budget"):
+        mcp_bruteforce(9)
+    assert mcp_bruteforce(7)[0] == 49
 
 
 # -- certificates ------------------------------------------------------------------
