@@ -71,9 +71,6 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_solve(args) -> int:
     config = _read_pattern(args.file)
-    if not gridmap.is_solvable(config):
-        print("unsolvable")
-        return 2
     if args.min:
         count, witness = gridmap.min_clicks(config)
     else:
@@ -89,7 +86,7 @@ def _cmd_mcp(args) -> int:
         raise ValueError("give exactly one of a side length n or --k")
     if args.brute:
         n = args.n if args.n is not None else 6 * args.k - 1
-        value, _ = mcp.mcp_bruteforce(n, budget_bits=args.budget_bits)
+        value, _ = mcp.mcp_bruteforce(n)
         print(value)
         return 0
     if args.k is not None:
@@ -195,9 +192,6 @@ def _build_parser() -> _Parser:
     mode.add_argument("--certify", action="store_true",
                       help="constructive certificate for side 6k-1")
     p.add_argument("--out", help="write the certificate JSON here")
-    p.add_argument("--budget-bits", type=_positive_int,
-                   default=mcp.DEFAULT_BUDGET_BITS,
-                   help="refuse brute-force scans beyond this many coset bits")
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="accepted for compatibility; no effect on mcp, "
                         "whose search runs in one process")

@@ -29,16 +29,9 @@ def is_even_cover(s: CellSet) -> bool:
     return not apply_clicks(s)
 
 
-def _source_index(i: int, n: int) -> int | None:
-    """Map a tiled coordinate back into the (n-1)-wide source tile.
-
-    Coordinates are split into tiles of width n: the last line of each
-    tile is the empty separator (None); odd-numbered tiles are reflected.
-    """
-    tile, off = divmod(i, n)
-    if off == n - 1:
-        return None
-    return off if tile % 2 == 0 else n - 2 - off
+def _copies(k: int, stride: int, parity: int) -> int:
+    """Sum of 1 << (j*stride) over the copies j < k with j % 2 == parity."""
+    return sum(1 << (j * stride) for j in range(parity, k, 2))
 
 
 def tile_cover(q: CellSet, n: int, k: int) -> CellSet:
@@ -56,19 +49,20 @@ def tile_cover(q: CellSet, n: int, k: int) -> CellSet:
     if not is_even_cover(q):
         raise ValueError("input is not an even parity cover")
     side = n * k - 1
-    src = q.bits
     m = n - 1
-    out = 0
-    for r in range(side):
-        sr = _source_index(r, n)
-        if sr is None:
-            continue
-        row = src >> (sr * m)
-        for c in range(side):
-            sc = _source_index(c, n)
-            if sc is not None and (row >> sc) & 1:
-                out |= 1 << (r * side + c)
-    return CellSet(side, out)
+    even, odd = _copies(k, n, 0), _copies(k, n, 1)
+    # Source row r becomes one row of a band of tiles: r in the even copies,
+    # r reversed in the odd ones. The band rows stacked in order (down) fill
+    # the even bands, stacked in reverse (up) the odd ones. Every copy is
+    # n-1 cells wide (or rows tall) and copies start n apart, so no product
+    # below carries: each lays down disjoint copies.
+    down = up = 0
+    for i in range(m):
+        r = (q.bits >> (i * m)) & ((1 << m) - 1)
+        row = r * even + int(format(r, f"0{m}b")[::-1], 2) * odd
+        down |= row << (i * side)
+        up |= row << ((m - 1 - i) * side)
+    return CellSet(side, down * _copies(k, n * side, 0) + up * _copies(k, n * side, 1))
 
 
 def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Callable
 
 __all__ = [
-    "poly_mod",
     "poly_gcd",
     "poly_compose_x_plus_1",
     "fib_poly",

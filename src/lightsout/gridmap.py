@@ -33,7 +33,6 @@ __all__ = [
     "solve_particular",
     "all_solutions",
     "min_clicks",
-    "lex_less",
     "parse_pattern",
     "format_pattern",
     "format_pbm",
@@ -287,8 +286,8 @@ def all_solutions(config: CellSet) -> list[CellSet]:
     Exactly 2^d solutions for kernel dimension d; refuses to enumerate
     when d exceeds ``NULLITY_CAP``.
     """
-    basis_bits = _capped_basis(config.n)
     x0 = solve_particular(config)
+    basis_bits = _capped_basis(config.n)
     sols = [x0]
     cur = x0.bits
     for i in range(1, 1 << len(basis_bits)):
@@ -314,8 +313,8 @@ def min_clicks(config: CellSet) -> tuple[int, CellSet]:
     equal-weight minima the witness is the lexicographically smallest
     bitset in row-major order.
     """
-    basis_bits = _capped_basis(config.n)
     cur = solve_particular(config).bits
+    basis_bits = _capped_basis(config.n)
     best, best_w = cur, cur.bit_count()
     for i in range(1, 1 << len(basis_bits)):
         cur ^= basis_bits[(i & -i).bit_length() - 1]

@@ -41,13 +41,12 @@ from .gridmap import (
 __all__ = [
     "McpCertificate",
     "mcp_formula",
-    "ilp_optimum",
     "mcp_bruteforce",
     "worst_case_construct",
     "verify_certificate",
 ]
 
-DEFAULT_BUDGET_BITS = 24
+BUDGET_BITS = 24  # the most coset bits mcp_bruteforce will search
 
 
 def mcp_formula(k: int) -> int:
@@ -77,12 +76,12 @@ def ilp_optimum(k: int) -> tuple[int, int, int]:
 
 # -- exhaustive oracle -------------------------------------------------------
 
-def mcp_bruteforce(n: int, budget_bits: int = DEFAULT_BUDGET_BITS) -> tuple[int, CellSet]:
+def mcp_bruteforce(n: int) -> tuple[int, CellSet]:
     """Exact MCP for an n-by-n grid over every coset of the kernel.
 
     The representatives are the click sets clear on the basis's pivot
     cells; there are 2^(n^2 - d) of them for kernel dimension d, and the
-    search is refused above ``budget_bits`` coset bits before the kernel
+    search is refused above ``BUDGET_BITS`` coset bits before the kernel
     is built. An empty kernel needs no search: the answer is n^2,
     whatever the budget.
 
@@ -106,10 +105,10 @@ def mcp_bruteforce(n: int, budget_bits: int = DEFAULT_BUDGET_BITS) -> tuple[int,
         # board and the worst configuration is its image.
         return size, apply_clicks(CellSet.full(n))
     free_count = size - d
-    if free_count > budget_bits:
+    if free_count > BUDGET_BITS:
         raise ValueError(
             f"{free_count} coset bits for n={n} exceed the budget of "
-            f"{budget_bits} bits"
+            f"{BUDGET_BITS} bits"
         )
     kb = kernel_basis(n)
     members = [0] + [e.bits for e in kb.span_nonzero()]

@@ -38,11 +38,9 @@ __all__ = [
     "ConjectureReport",
     "scan_range",
     "census",
-    "verify_congruences",
     "check_conjecture_2_3k",
     "write_records_csv",
     "read_records_csv",
-    "write_records_jsonl",
 ]
 
 BLOCK_SIZE = 512
@@ -77,13 +75,14 @@ def scan_range(
     n_max: int,
     fast: bool = False,
     workers: int | None = None,
-    on_block: Callable[[int, int, list[ScanRecord]], None] | None = None,
+    progress: Callable[[int, int], None] | None = None,
 ) -> list[ScanRecord]:
     """Scan sides n_min..n_max in blocks of ``BLOCK_SIZE`` sides.
 
     ``fast`` computes only the sides n = 5 (mod 12) of ``FAST_RESIDUE``.
-    ``on_block`` fires once per block with (lo, hi, records), in order of
-    n. The returned list is sorted by n regardless of worker count.
+    ``progress`` is called with (sides done, sides total) after every
+    block, in order of n. The returned list is sorted by n regardless of
+    worker count.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
@@ -97,11 +96,10 @@ def scan_range(
         mapper = map
         if workers > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for (lo, hi, _), pairs in zip(tasks, mapper(_scan_block, tasks)):
-            block = [ScanRecord(n, d) for n, d in pairs]
-            records += block
-            if on_block is not None:
-                on_block(lo, hi, block)
+        for (_, hi, _), pairs in zip(tasks, mapper(_scan_block, tasks)):
+            records += [ScanRecord(n, d) for n, d in pairs]
+            if progress is not None:
+                progress(hi - n_min + 1, n_max - n_min + 1)
     return records
 
 
@@ -124,15 +122,7 @@ def census(
     """
     if out is not None:
         open(out, "w", encoding="utf-8").close()
-    done = 0
-
-    def tick(lo: int, hi: int, records: list[ScanRecord]) -> None:
-        nonlocal done
-        done += hi - lo + 1
-        progress(done, n_max)
-
-    records = scan_range(1, n_max, fast=fast, workers=workers,
-                         on_block=tick if progress is not None else None)
+    records = scan_range(1, n_max, fast=fast, workers=workers, progress=progress)
     if out is not None:
         if jsonl:
             write_records_jsonl(records, out)

@@ -240,3 +240,31 @@ def coset_leader_mcp(n: int) -> int:
         if i < total:
             x ^= free[(i & -i).bit_length() - 1]
     return best
+
+
+# -- tiling: grids as lists of 0/1 rows -----------------------------------------
+
+def tile_naive(rows: list[list[int]], n: int, k: int) -> list[list[int]]:
+    """Tile an (n-1)x(n-1) 0/1 grid k times each way, from the definition.
+
+    Output line i (a row or a column) lies in tile i // n at offset i % n.
+    Offset n-1 is an empty separator line; any other line is the folded
+    source line: offset i % n in even tiles, mirrored to n-2 - offset in
+    odd ones.
+    """
+    def fold(i: int) -> int | None:
+        tile, off = divmod(i, n)
+        if off == n - 1:
+            return None
+        return n - 2 - off if tile % 2 else off
+
+    side = n * k - 1
+    out = []
+    for r in range(side):
+        sr = fold(r)
+        line = []
+        for c in range(side):
+            sc = fold(c)
+            line.append(0 if sr is None or sc is None else rows[sr][sc])
+        out.append(line)
+    return out

@@ -106,6 +106,13 @@ def test_solve_corner_light_unsolvable_exit_2(capsys, pattern_file):
     assert out == "unsolvable\n"
 
 
+def test_solve_min_unsolvable_above_nullity_cap_exit_2(capsys, pattern_file):
+    # 39x39 has nullity 32, beyond the enumeration cap: unsolvable still wins
+    corner = "#" + "." * 38 + "\n" + ("." * 39 + "\n") * 38
+    code, out, _ = run(capsys, "solve", "--min", pattern_file(corner))
+    assert (code, out) == (2, "unsolvable\n")
+
+
 def test_solve_without_min_round_trips(capsys, pattern_file):
     code, out, _ = run(capsys, "solve", pattern_file(ALL_ON_5))
     assert code == 0

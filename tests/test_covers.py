@@ -7,6 +7,8 @@ import pytest
 from lightsout.covers import is_even_cover, region_partition, tile_cover
 from lightsout.gridmap import CellSet, apply_clicks, kernel_basis, parse_pattern
 
+import naive
+
 
 def xor_rank(vectors):
     basis = []
@@ -90,6 +92,18 @@ def test_tile_cover_validates_input():
         tile_cover(q, 6, 0)
     with pytest.raises(ValueError):
         tile_cover(CellSet(5, 1), 6, 2)  # not an even cover
+
+
+def test_tile_cover_matches_naive_oracle():
+    for n in (5, 6, 10, 12):
+        m = n - 1
+        for q in kernel_basis(m).span_nonzero()[:16]:
+            rows = [[(q.bits >> (r * m + c)) & 1 for c in range(m)] for r in range(m)]
+            for k in range(1, 9):
+                side = n * k - 1
+                bits = tile_cover(q, n, k).bits
+                got = [[(bits >> (r * side + c)) & 1 for c in range(side)] for r in range(side)]
+                assert got == naive.tile_naive(rows, n, k), (n, q.bits, k)
 
 
 def test_tile_cover_reflection_golden():

@@ -73,8 +73,6 @@ def test_bruteforce_budget_refusal():
     assert worst == apply_clicks(CellSet.full(7))
     with pytest.raises(ValueError, match="budget"):
         mcp_bruteforce(9)  # nullity 8: 73 coset bits
-    with pytest.raises(ValueError, match="budget"):
-        mcp_bruteforce(5, budget_bits=20)  # needs 23
 
 
 def test_bruteforce_rejects_nonpositive():

@@ -67,8 +67,8 @@ def test_scan_range_on_block_spans_cover_range():
     for workers in (1, 2):
         seen = []
         scan_range(1, 1100, workers=workers,
-                   on_block=lambda lo, hi, recs: seen.append((lo, hi, len(recs))))
-        assert seen == [(1, 512, 512), (513, 1024, 512), (1025, 1100, 76)]
+                   progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(512, 1100), (1024, 1100), (1100, 1100)]
 
 
 def test_scan_range_parallel_matches_serial():
