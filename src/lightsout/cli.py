@@ -8,12 +8,15 @@ partition of a nullity-2 grid, and ``scan`` runs the nullity census.
 
 Exit codes: 0 success, 1 usage or internal error, 2 mathematically
 unsolvable input. Identical invocations produce byte-identical output;
-progress chatter goes to stderr only.
+progress chatter goes to stderr only. ``main`` may be called any number
+of times in one process: the parser is built on the first call and
+reused, and each call's output equals that of the same call on its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -157,6 +160,12 @@ def _cmd_scan(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+# Built once per process, as building costs some thirty to fifty parses.
+# Reuse is safe: parse_args returns a fresh Namespace on every call, every
+# default is immutable (None or False), usage errors, usage and --help look
+# up sys.stdout and sys.stderr when they print (so redirect_stdout and
+# captured streams still see them), and help reads COLUMNS when formatted.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="lightsout",

@@ -123,11 +123,24 @@ class KernelBasis:
 _CACHE_SIZE = 64  # grid sizes kept per cache; every entry is rebuilt on demand
 
 
+def _spaced_bits(step: int, count: int) -> int:
+    """Bits 0, step, ..., (count-1)*step set, built by doubling the run.
+
+    Not all-ones // (2^step - 1): CPython's long division is quadratic in
+    the bit length (at step = count = 20001, 18 s against 0.5 s here).
+    """
+    bits, have = 1, 1
+    while have < count:
+        bits |= bits << (have * step)
+        have *= 2
+    return bits & ((1 << (count * step)) - 1)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _masks(n: int) -> tuple[int, int, int]:
     """(whole grid, all but column 0, all but column n-1) as bitmasks."""
     full = (1 << (n * n)) - 1
-    first_col = full // ((1 << n) - 1)  # bit r*n for every row r
+    first_col = _spaced_bits(n, n)  # bit r*n for every row r
     return full, full ^ first_col, full ^ (first_col << (n - 1))
 
 
@@ -189,7 +202,7 @@ def _residual_matrix(n: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...
     # of the row recurrence is the horizontal part of the click map plus
     # the blocks two steps back.
     _, not_first, not_last = _masks(n)
-    prev, cur = 0, ((1 << (n * n + n)) - 1) // ((1 << (n + 1)) - 1)  # the identity
+    prev, cur = 0, _spaced_bits(n + 1, n)  # the identity: bit j of block j
     for _ in range(n):
         prev, cur = cur, cur ^ ((cur << 1) & not_first) ^ ((cur >> 1) & not_last) ^ prev
     pivots: dict[int, tuple[int, int]] = {}

@@ -1,16 +1,21 @@
 """Command-line surface: outputs, exit codes, file round-trips.
 
-Everything drives cli.main() in-process; exit codes come from its return
-value so argparse's own SystemExit never escapes.
+Everything but the ``python -m lightsout`` check drives cli.main()
+in-process; exit codes come from its return value so argparse's own
+SystemExit never escapes.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from lightsout import McpCertificate, read_records_csv, verify_certificate
-from lightsout.cli import main
+from lightsout.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -283,3 +288,34 @@ def test_certificate_json_from_cli_matches_library(capsys, tmp_path):
     out_path = tmp_path / "c.json"
     run(capsys, "mcp", "--k", "1", "--certify", "--out", str(out_path))
     assert json.loads(out_path.read_text()) == json.loads(worst_case_construct(1).to_json())
+
+
+# -- one parser for many calls --------------------------------------------------
+
+@pytest.mark.parametrize("calls", [
+    [("nullity", "0"), ("nullity", "5")],
+    [("mcp", "5", "--brute"), ("mcp", "--k", "1", "--certify")],
+    [("scan", "100", "--workers", "2"), ("scan", "100")],
+    [("--help",), ("--help",)],
+])
+def test_parser_reuse_matches_calls_on_their_own(capsys, calls):
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    _build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+def test_python_m_lightsout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "lightsout", "nullity", "17"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+    proc = subprocess.run([sys.executable, "-m", "lightsout", "nullity", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: lightsout nullity")
