@@ -22,8 +22,24 @@ f_{2k} = x*f_k^2 and f_{2k+1} = (f_k + f_{k+1})^2:
     d(2m)   = 2*deg gcd(h, h(x+1)),   h = f_m + f_{m+1}.
 
 So d(n) is always even, and d(n) = 2 exactly when n = 2m-1 with
-m = 3 (mod 6) and d(m-1) = 0: every nullity-2 side is 5 mod 12, and such
-a side costs one GCD of degree about n/4.
+m = 3 (mod 6) and d(m-1) = 0: every nullity-2 side is 5 mod 12.
+
+``nullity`` takes that last GCD over GF(2)[y], y = x^2 + x, at half the
+degree. Let s be the substitution x -> x+1. The s-invariant polynomials
+are exactly GF(2)[y], every f is uniquely A(y) + x*B(y), and
+s(f) = f + B(y), so
+
+    gcd(f, s(f)) = gcd(A(y), B(y)) = G(x^2 + x),   G = gcd(A, B) in GF(2)[y].
+
+The second equality holds because divisibility descends through the
+substitution: if P(y) divides Q(y) in GF(2)[x], the quotient is
+s-invariant, so it lies in GF(2)[y]. The GCD on the left is s-invariant,
+hence some P(y), and P divides A and B, so P | G; G(x^2 + x) divides
+both, so P = G. With deg_x G(x^2 + x) = 2*deg G this gives
+d(2m) = 4*deg gcd(a, b) for the y-form (a, b) of h, so d(n) is a
+multiple of 4 for every even n. The y-form comes straight from doubling
+(``_fib_pair_y``), so no substitution is ever computed, and a nullity-2
+side costs one GCD of degree about n/8.
 """
 
 from __future__ import annotations
@@ -55,8 +71,12 @@ def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor; not defined when both arguments are zero."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, poly_mod(a, b)
+    da, db = a.bit_length(), b.bit_length()
+    while db:
+        if da < db:
+            a, b, da, db = b, a, db, da
+        a ^= b << (da - db)
+        da = a.bit_length()
     return a
 
 
@@ -94,6 +114,22 @@ def _fib_pair(m: int) -> tuple[int, int]:
     return a, b
 
 
+def _fib_pair_y(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(f_m, f_{m+1}) in y-form: each f as (A, B) with f = A(y) + x*B(y), y = x^2 + x.
+
+    Doubling as in ``_fib_pair``, using x^2 = y + x; ``<< 1`` multiplies by y.
+    """
+    a, b = (0, 0), (1, 0)  # f_0, f_1
+    for bit in format(m, "b"):
+        sa, sb = _square(a[0] ^ b[0]), _square(a[1] ^ b[1])
+        odd = (sa ^ (sb << 1), sb)  # f_{2k+1} = (f_k + f_{k+1})^2
+        ea, eb = b if bit == "1" else a
+        sq = _square(eb)
+        even = (sq << 1, _square(ea) ^ sq ^ (sq << 1))  # f_{2j} = x*f_j^2
+        a, b = (odd, even) if bit == "1" else (even, odd)
+    return a, b
+
+
 def fib_poly(n: int) -> int:
     """The n-th Fibonacci polynomial over GF(2): f_1 = 1, f_2 = x, f_m = x*f_{m-1} + f_{m-2}."""
     if n < 1:
@@ -105,8 +141,9 @@ def nullity(n: int) -> int:
     """Kernel dimension of the click map on the n-by-n grid, by the halving identities.
 
     While n = 2m-1 is odd, d(n) = 2*d(m-1) + 2*[3 | m]; an even n = 2m
-    ends the loop with one GCD, d(2m) = 2*deg gcd(h, h(x+1)) for
-    h = f_m + f_{m+1}.
+    ends the loop with one GCD, d(2m) = 4*deg gcd(a, b) over GF(2)[y] for
+    the y-form (a, b) of h = f_m + f_{m+1}, so d of an even side is a
+    multiple of 4.
     """
     if n < 1:
         raise ValueError("grid side length must be >= 1")
@@ -118,8 +155,8 @@ def nullity(n: int) -> int:
         scale *= 2
         n = m - 1
     if n:
-        f_m, f_m1 = _fib_pair(n // 2)
-        d += 2 * scale * _gcd_degree(f_m ^ f_m1)
+        (a_m, b_m), (a_m1, b_m1) = _fib_pair_y(n // 2)
+        d += 4 * scale * (poly_gcd(a_m ^ a_m1, b_m ^ b_m1).bit_length() - 1)
     return d
 
 

@@ -79,6 +79,14 @@ def p_compose_x_plus_1(a: list[int]) -> list[int]:
     return out
 
 
+def p_compose_x2_plus_x(a: list[int]) -> list[int]:
+    """a(x^2 + x), by Horner's rule with explicit multiplication."""
+    out: list[int] = []
+    for coef in reversed(p_trim(a)):
+        out = p_add(p_mul(out, [0, 1, 1]), [coef])
+    return out
+
+
 def p_fib(m: int) -> list[int]:
     """m-th Fibonacci polynomial over GF(2): f1 = 1, f2 = x, f = x*f' + f''."""
     if m < 1:

@@ -108,6 +108,16 @@ def test_criterion_06_census_to_25000_finds_1242(census_to_25000):
            fast_elapsed + full_elapsed, 1800 + 14400)
 
 
+def test_criterion_06_fast_records_equal_the_full_records(census_to_25000):
+    # every value of the fast census, not only its d = 2 sides
+    fast_records, _, _ = census_to_25000["fast"]
+    full_records, _, _ = census_to_25000["full"]
+    full_by_side = {r.n: r for r in full_records}
+    assert [r.n for r in fast_records] == list(range(5, 25001, 12))
+    for rec in fast_records:
+        assert rec == full_by_side[rec.n]
+
+
 def test_criterion_07_congruences_hold_in_census(census_to_25000):
     t0 = time.monotonic()
     _, fast_report, _ = census_to_25000["fast"]

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from lightsout import gf2poly
 from lightsout.gf2poly import (
+    _fib_pair_y,
     fib_poly,
     nullity,
     nullity_range,
@@ -124,6 +126,16 @@ def test_fib_poly_recurrence_holds():
         prev, cur = cur, (cur << 1) ^ prev
 
 
+def test_y_form_doubling_gives_the_fibonacci_polynomials():
+    # (A, B) stands for A(y) + x*B(y) with y = x^2 + x; f_0 = 0
+    for m in [*range(301), 1000, 2047, 2048, 4097]:
+        for k, (a, b) in zip((m, m + 1), _fib_pair_y(m)):
+            a_x = naive.p_compose_x2_plus_x(to_list(a))
+            b_x = naive.p_compose_x2_plus_x(to_list(b))
+            got = naive.p_add(a_x, naive.p_mul([0, 1], b_x))
+            assert got == (to_list(fib_poly(k)) if k else []), k
+
+
 def test_fib_poly_rejects_nonpositive():
     with pytest.raises(ValueError):
         fib_poly(0)
@@ -146,9 +158,39 @@ def test_nullity_matches_oracle():
 
 
 def test_halving_identities_match_the_direct_gcd():
-    # both parities, so both identities and every depth of the odd loop
+    # both parities, so both identities and every depth of the odd loop;
+    # the GCD over GF(2)[x^2 + x] makes d of an even side a multiple of 4
     for n, d in nullity_range(1, 4000):
         assert nullity(n) == d, n
+        assert n % 2 or d % 4 == 0, n
+
+
+def test_halving_identities_match_the_direct_gcd_at_large_sides():
+    # seeded sides of both parities, plus deep odd loops that end with d > 0:
+    # 20479 = 5*2^12 - 1 (12 odd steps, d = 16384), 23039 = 45*2^9 - 1,
+    # 18431 = 9*2^11 - 1, 24575 = 3*2^13 - 1
+    rng = random.Random(0xD0B1E)
+    sides = [2 * rng.randrange(2001, 12501) for _ in range(10)]
+    sides += [2 * rng.randrange(2001, 12500) + 1 for _ in range(10)]
+    sides += [20479, 23039, 18431, 24575]
+    for n in sides:
+        assert nullity(n) == nullity_range(n, n)[0][1], n
+    assert [nullity(n) for n in sides[-4:]] == [16384, 3070, 4094, 16382]
+
+
+def test_fast_and_full_routes_stay_independent(monkeypatch):
+    # nullity never composes with x+1; nullity_range never uses the y-form
+    def gone(*_):
+        raise AssertionError("crossed over to the other route")
+
+    expected = [nullity(n) for n in range(1, 200)]
+    monkeypatch.setattr(gf2poly, "_fib_pair_y", gone)
+    assert [d for _, d in nullity_range(1, 199)] == expected
+    monkeypatch.undo()
+    monkeypatch.setattr(gf2poly, "poly_compose_x_plus_1", gone)
+    monkeypatch.setattr(gf2poly, "_gcd_degree", gone)
+    monkeypatch.setattr(gf2poly, "_fib_pair", gone)
+    assert [nullity(n) for n in range(1, 200)] == expected
 
 
 def test_nullity_range_agrees_with_pointwise():
