@@ -272,7 +272,7 @@ def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> 
     minimum is also confirmed by an independent coset scan of the worst
     configuration.
     """
-    if cert.claimed_min != mcp_formula(cert.k) or cert.n != 6 * cert.k - 1:
+    if cert.k < 1 or cert.claimed_min != mcp_formula(cert.k) or cert.n != 6 * cert.k - 1:
         return False
     kb = kernel_basis(cert.n)
     if cert.nullity != len(kb):

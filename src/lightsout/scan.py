@@ -7,10 +7,11 @@ worst-case click analysis applies. By the halving identities in
 n = 2m-1 with m = 3 (mod 6) and d(m-1) = 0, so every such side is 5 mod 12.
 The census therefore offers a fast mode, exact for d = 2, that only
 inspects n = 5 (mod 12) and computes each d(n) by those identities, one
-GCD of degree about n/8 a side, taken over GF(2)[x^2 + x]. The full mode
-takes one direct GCD of degree about n per side over the shared
-Fibonacci-polynomial sweep; it is the ground truth the fast mode is
-checked against. The congruence audit runs on both as a regression check.
+GCD of degree about n/8 a side. The full mode takes one direct GCD of
+degree about n/2 per side over a shared sweep of the Fibonacci
+recurrence; it is the ground truth the fast mode is checked against.
+Both take their GCDs over GF(2)[x^2 + x]. The congruence audit runs on
+both as a regression check.
 
 Blocks of sides are scanned optionally across worker processes. Results are
 plain (n, nullity) records, written as CSV (read back too) or JSONL, plus

@@ -79,14 +79,6 @@ def p_compose_x_plus_1(a: list[int]) -> list[int]:
     return out
 
 
-def p_compose_x2_plus_x(a: list[int]) -> list[int]:
-    """a(x^2 + x), by Horner's rule with explicit multiplication."""
-    out: list[int] = []
-    for coef in reversed(p_trim(a)):
-        out = p_add(p_mul(out, [0, 1, 1]), [coef])
-    return out
-
-
 def p_fib(m: int) -> list[int]:
     """m-th Fibonacci polynomial over GF(2): f1 = 1, f2 = x, f = x*f' + f''."""
     if m < 1:
@@ -100,6 +92,43 @@ def p_fib(m: int) -> list[int]:
 def nullity_naive(n: int) -> int:
     f = p_fib(n + 1)
     return p_deg(p_gcd(f, p_compose_x_plus_1(f)))
+
+
+# -- the same polynomials packed into ints: bit i is the coefficient of x^i -----
+
+def int_fib_sweep(m: int) -> list[int]:
+    """[f_0, f_1, ..., f_m] by the plain recurrence f_k = x*f_{k-1} + f_{k-2}."""
+    fibs = [0, 1]
+    for _ in range(m - 1):
+        fibs.append((fibs[-1] << 1) ^ fibs[-2])
+    return fibs[: m + 1]
+
+
+def int_compose(a: int, g: int) -> int:
+    """a(g(x)), by Horner's rule with a shift-and-add product by g."""
+    shifts = [i for i in range(g.bit_length()) if g >> i & 1]
+    out = 0
+    for coef in format(a, "b"):
+        prod = 0
+        for i in shifts:
+            prod ^= out << i
+        out = prod ^ (coef == "1")
+    return out
+
+
+def int_gcd(a: int, b: int) -> int:
+    """Plain Euclid, each remainder by long division."""
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def int_nullity_range(hi: int) -> list[int]:
+    """[d(1), ..., d(hi)] as deg gcd(f_{n+1}(x), f_{n+1}(x+1)), all in the x-domain."""
+    return [int_gcd(f, int_compose(f, 0b11)).bit_length() - 1
+            for f in int_fib_sweep(hi + 1)[2:]]
 
 
 # -- grids: configurations and click sets as plain int bitmasks ----------------

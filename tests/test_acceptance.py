@@ -6,6 +6,7 @@ conjecture check is report-only: a failing k is surfaced as a warning and
 in the printed report, never as a test failure.
 """
 
+import hashlib
 import random
 import time
 import warnings
@@ -28,6 +29,7 @@ from lightsout import (
     tile_cover,
     worst_case_construct,
 )
+from lightsout.scan import write_records_csv
 
 
 def report(num, label, elapsed, budget):
@@ -116,6 +118,16 @@ def test_criterion_06_fast_records_equal_the_full_records(census_to_25000):
     assert [r.n for r in fast_records] == list(range(5, 25001, 12))
     for rec in fast_records:
         assert rec == full_by_side[rec.n]
+
+
+def test_full_census_csv_bytes_are_pinned(census_to_25000, tmp_path):
+    # `lightsout scan 25000 --out census.csv`; the digest was taken from
+    # the x-domain GCD route
+    full_records, _, _ = census_to_25000["full"]
+    path = tmp_path / "census.csv"
+    write_records_csv(full_records, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "2a72c115b9bf02c19f0a2c770d78f2cb6be36aff29e4b5bdc805b9794c6940fb"
 
 
 def test_criterion_07_congruences_hold_in_census(census_to_25000):

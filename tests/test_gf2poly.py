@@ -5,15 +5,7 @@ import random
 import pytest
 
 from lightsout import gf2poly
-from lightsout.gf2poly import (
-    _fib_pair_y,
-    fib_poly,
-    nullity,
-    nullity_range,
-    poly_compose_x_plus_1,
-    poly_gcd,
-    poly_mod,
-)
+from lightsout.gf2poly import _fib_pair_y, nullity, nullity_range, poly_gcd
 
 import naive
 
@@ -28,23 +20,6 @@ def to_list(p):
 
 def random_poly(rng, max_deg):
     return [rng.randrange(2) for _ in range(rng.randrange(max_deg + 1))]
-
-
-def test_mod_matches_oracle():
-    rng = random.Random(0xCAFE)
-    checked = 0
-    while checked < 200:
-        a, b = random_poly(rng, 40), random_poly(rng, 20)
-        if not naive.p_trim(b):
-            continue
-        checked += 1
-        got = to_list(poly_mod(from_list(a), from_list(b)))
-        assert got == naive.p_mod(a, b)
-
-
-def test_mod_by_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        poly_mod(from_list([1, 1]), 0)
 
 
 def test_divmod_identity():
@@ -79,27 +54,12 @@ def test_gcd_of_zeros_raises():
 
 
 def test_compose_x_plus_1_matches_oracle():
+    # the int-packed oracle behind the x-domain d(n) against the list one
     rng = random.Random(0xACE)
     for _ in range(120):
         a = random_poly(rng, 50)
-        got = to_list(poly_compose_x_plus_1(from_list(a)))
+        got = to_list(naive.int_compose(from_list(a), 0b11))
         assert got == naive.p_compose_x_plus_1(a)
-
-
-def test_compose_x_plus_1_is_an_involution():
-    # substituting x+1 twice gives back x
-    rng = random.Random(42)
-    for _ in range(60):
-        p = from_list(random_poly(rng, 200))
-        assert poly_compose_x_plus_1(poly_compose_x_plus_1(p)) == p
-
-
-def test_compose_crosses_divide_and_conquer_cutoff():
-    # degrees far above the internal cutoff exercise the recursive split
-    rng = random.Random(99)
-    coeffs = [rng.randrange(2) for _ in range(800)] + [1]
-    got = to_list(poly_compose_x_plus_1(from_list(coeffs)))
-    assert got == naive.p_compose_x_plus_1(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -114,31 +74,17 @@ def test_compose_crosses_divide_and_conquer_cutoff():
     ],
 )
 def test_fib_poly_small_values(m, coeffs):
-    assert to_list(fib_poly(m)) == coeffs
     assert naive.p_fib(m) == coeffs
-
-
-def test_fib_poly_recurrence_holds():
-    # fib_poly doubles; the sweep multiplies by x (a shift) and adds (XOR)
-    prev, cur = 0, 1  # f_0, f_1
-    for m in range(1, 2001):
-        assert fib_poly(m) == cur, m
-        prev, cur = cur, (cur << 1) ^ prev
+    assert to_list(naive.int_fib_sweep(m)[m]) == coeffs
 
 
 def test_y_form_doubling_gives_the_fibonacci_polynomials():
     # (A, B) stands for A(y) + x*B(y) with y = x^2 + x; f_0 = 0
+    fibs = naive.int_fib_sweep(4098)
     for m in [*range(301), 1000, 2047, 2048, 4097]:
         for k, (a, b) in zip((m, m + 1), _fib_pair_y(m)):
-            a_x = naive.p_compose_x2_plus_x(to_list(a))
-            b_x = naive.p_compose_x2_plus_x(to_list(b))
-            got = naive.p_add(a_x, naive.p_mul([0, 1], b_x))
-            assert got == (to_list(fib_poly(k)) if k else []), k
-
-
-def test_fib_poly_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        fib_poly(0)
+            got = naive.int_compose(a, 0b110) ^ (naive.int_compose(b, 0b110) << 1)
+            assert got == fibs[k], k
 
 
 @pytest.mark.parametrize("bad", [0, -3])
@@ -178,8 +124,13 @@ def test_halving_identities_match_the_direct_gcd_at_large_sides():
     assert [nullity(n) for n in sides[-4:]] == [16384, 3070, 4094, 16382]
 
 
+def test_nullity_range_matches_the_x_domain_oracle():
+    # f_{n+1}(x) and f_{n+1}(x+1) taken literally, with no y-form anywhere
+    assert [d for _, d in nullity_range(1, 4000)] == naive.int_nullity_range(4000)
+
+
 def test_fast_and_full_routes_stay_independent(monkeypatch):
-    # nullity never composes with x+1; nullity_range never uses the y-form
+    # nullity_range sweeps the recurrence, never doubling; nullity never sweeps
     def gone(*_):
         raise AssertionError("crossed over to the other route")
 
@@ -187,9 +138,7 @@ def test_fast_and_full_routes_stay_independent(monkeypatch):
     monkeypatch.setattr(gf2poly, "_fib_pair_y", gone)
     assert [d for _, d in nullity_range(1, 199)] == expected
     monkeypatch.undo()
-    monkeypatch.setattr(gf2poly, "poly_compose_x_plus_1", gone)
-    monkeypatch.setattr(gf2poly, "_gcd_degree", gone)
-    monkeypatch.setattr(gf2poly, "_fib_pair", gone)
+    monkeypatch.setattr(gf2poly, "nullity_range", gone)
     assert [nullity(n) for n in range(1, 200)] == expected
 
 

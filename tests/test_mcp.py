@@ -252,6 +252,15 @@ def test_verify_rejects_certificate_from_another_grid():
     assert not McpCertificate.from_json(foreign.to_json()).certified
 
 
+def test_verify_rejects_nonpositive_k_read_from_json():
+    # a k < 1 has no formula value: the certificate is false, not an error
+    doc = json.loads(worst_case_construct(1).to_json())
+    doc["k"] = 0
+    cert = McpCertificate.from_json(json.dumps(doc))
+    assert verify_certificate(cert) is False
+    assert cert.certified is False
+
+
 def test_verify_rejects_wrong_nullity_claim():
     doc = json.loads(worst_case_construct(2).to_json())
     doc["nullity"] = 2
