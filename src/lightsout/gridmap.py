@@ -15,12 +15,19 @@ of the gf2poly module evaluated at the row's own click map T. A board is
 therefore solvable iff M*c equals its residual for some c, and the chases
 of M's null vectors are the kernel: the n^2 x n^2 click matrix is never
 formed, only the n x n matrix M, reduced once per grid size and cached.
+
+M's columns are reduced last to first, so pivot first rows touch only
+pivot columns and a null first row is e_j plus pivot columns above j. One
+elimination thus gives the kernel's reduced row-echelon first rows, and
+solutions clear on every kernel leading cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import xor
 from typing import Iterator
 
 __all__ = [
@@ -195,7 +202,10 @@ def _residual_matrix(n: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...
     Column j of M is the residual of clicking cell (0, j) alone and
     chasing, so M = f_{n+1}(T) for the row's click map T. Returns the
     pivots {leading bit: (M*t, t)} for first rows t, and a basis of the
-    first rows t with M*t = 0.
+    first rows t with M*t = 0. Column j = n-1 down to 0 is reduced by
+    the pivots above it, so a pivot's t touches only pivot columns and a
+    null t is bit j plus pivot columns above j: the null t come out in
+    reduced row-echelon form by lowest bit, sorted.
     """
     # Chase all n unit first rows at once: block j of an n*n-bit integer
     # (the cells of "row" j) holds the chase from cell (0, j), so a step
@@ -207,90 +217,65 @@ def _residual_matrix(n: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...
         prev, cur = cur, cur ^ ((cur << 1) & not_first) ^ ((cur >> 1) & not_last) ^ prev
     pivots: dict[int, tuple[int, int]] = {}
     null = []
-    for j in range(n):
+    for j in reversed(range(n)):
         col, track = _reduce(pivots, (cur >> (j * n)) & ((1 << n) - 1), 1 << j)
         if col:
             pivots[col.bit_length() - 1] = (col, track)
         else:
             null.append(track)
-    return pivots, tuple(null)
-
-
-def _lowest_bit(v: int) -> int:
-    return (v & -v).bit_length() - 1
-
-
-def _rref_low(vectors) -> list[tuple[int, int]]:
-    """Reduce vectors to (pivot, value) rows, pivot = lowest set bit, sorted."""
-    rows: list[tuple[int, int]] = []
-    for v in vectors:
-        for p, b in rows:
-            if (v >> p) & 1:
-                v ^= b
-        if not v:
-            continue
-        p = _lowest_bit(v)
-        rows = [(q, (w ^ v) if (w >> p) & 1 else w) for q, w in rows]
-        rows.append((p, v))
-    rows.sort()
-    return rows
+    return pivots, tuple(reversed(null))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def kernel_basis(n: int) -> KernelBasis:
     """Canonical basis of the even parity covers of the n-by-n grid.
 
-    The chases of M's null vectors span the kernel. A nonzero chase has
-    its first row as row 0, so its lowest cell lies there, and chasing is
-    linear: reducing the first rows and then chasing them gives the
-    kernel's unique reduced row-echelon basis.
+    The chases of M's null first rows span the kernel. A nonzero chase
+    has its first row as row 0, so its lowest cell lies there, and
+    chasing is linear: the reduced null first rows chase to the
+    kernel's unique reduced row-echelon basis, sorted by leading cell.
     """
-    rows = _rref_low(_residual_matrix(n)[1])
-    return KernelBasis(n, tuple(CellSet(n, _chase(n, 0, top)[0]) for _, top in rows))
+    return KernelBasis(n, tuple(CellSet(n, _chase(n, 0, t)[0]) for t in _residual_matrix(n)[1]))
 
 
 # -- solvers -----------------------------------------------------------------
 
-def is_solvable(config: CellSet) -> bool:
-    """Whether the configuration is in the image of the click map.
+def _first_row(config: CellSet) -> tuple[int, int]:
+    """(left, t): M*t + left is the board's residual, left = 0 iff it is solvable."""
+    return _reduce(_residual_matrix(config.n)[0], _chase(config.n, config.bits, 0)[1], 0)
 
-    The click matrix is symmetric, so the image is exactly the orthogonal
-    complement of the kernel; this tests orthogonality against every
-    kernel basis vector.
-    """
-    return all(
-        (config.bits & e.bits).bit_count() & 1 == 0
-        for e in kernel_basis(config.n).basis
-    )
+
+def is_solvable(config: CellSet) -> bool:
+    """Whether the configuration is in the image of the click map."""
+    return not _first_row(config)[0]
 
 
 def solve_particular(config: CellSet) -> CellSet:
     """One click set solving ``config``, canonical and deterministic.
 
     Chasing the board with an empty first row leaves a residual r; the
-    first row t with M*t = r chases to a solution. The result is the
-    unique solution whose coordinates vanish on the kernel's leading
-    cells (the d free degrees of freedom are pinned to zero), so repeated
-    calls agree bit for bit.
+    first row t with M*t = r, reduced from pivot rows alone, chases to the
+    unique solution that vanishes on the kernel's leading cells.
     """
-    n = config.n
-    left, top = _reduce(_residual_matrix(n)[0], _chase(n, config.bits, 0)[1], 0)
+    left, top = _first_row(config)
     if left:
         raise UnsolvableError("configuration is not solvable")
-    clicks, _ = _chase(n, config.bits, top)
-    for e in kernel_basis(n).basis:
-        if clicks & e.bits & -e.bits:
-            clicks ^= e.bits
-    return CellSet(n, clicks)
+    return CellSet(config.n, _chase(config.n, config.bits, top)[0])
 
 
-def _capped_basis(n: int) -> list[int]:
-    basis_bits = [e.bits for e in kernel_basis(n).basis]
-    if len(basis_bits) > NULLITY_CAP:
-        raise ValueError(
-            f"nullity {len(basis_bits)} exceeds the enumeration cap {NULLITY_CAP}"
-        )
-    return basis_bits
+def _coset(config: CellSet) -> Iterator[int]:
+    """Every solution of ``config`` by Gray code from the canonical one.
+
+    Solves first, then refuses d > ``NULLITY_CAP`` before chasing the kernel.
+    """
+    cur = solve_particular(config).bits
+    d = len(_residual_matrix(config.n)[1])
+    if d > NULLITY_CAP:
+        raise ValueError(f"nullity {d} exceeds the enumeration cap {NULLITY_CAP}")
+    flips: list[int] = []  # step i of a Gray code flips basis vector (trailing zeros of i)
+    for e in kernel_basis(config.n):
+        flips += [e.bits] + flips
+    return accumulate(flips, xor, initial=cur)
 
 
 def all_solutions(config: CellSet) -> list[CellSet]:
@@ -299,14 +284,7 @@ def all_solutions(config: CellSet) -> list[CellSet]:
     Exactly 2^d solutions for kernel dimension d; refuses to enumerate
     when d exceeds ``NULLITY_CAP``.
     """
-    x0 = solve_particular(config)
-    basis_bits = _capped_basis(config.n)
-    sols = [x0]
-    cur = x0.bits
-    for i in range(1, 1 << len(basis_bits)):
-        cur ^= basis_bits[(i & -i).bit_length() - 1]
-        sols.append(CellSet(config.n, cur))
-    return sols
+    return [CellSet(config.n, bits) for bits in _coset(config)]
 
 
 def lex_less(a: int, b: int) -> bool:
@@ -326,11 +304,10 @@ def min_clicks(config: CellSet) -> tuple[int, CellSet]:
     equal-weight minima the witness is the lexicographically smallest
     bitset in row-major order.
     """
-    cur = solve_particular(config).bits
-    basis_bits = _capped_basis(config.n)
-    best, best_w = cur, cur.bit_count()
-    for i in range(1, 1 << len(basis_bits)):
-        cur ^= basis_bits[(i & -i).bit_length() - 1]
+    coset = _coset(config)
+    best = next(coset)
+    best_w = best.bit_count()
+    for cur in coset:
         w = cur.bit_count()
         if w < best_w or (w == best_w and lex_less(cur, best)):
             best, best_w = cur, w

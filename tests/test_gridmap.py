@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lightsout import gridmap
 from lightsout.gridmap import (
     CellSet,
     UnsolvableError,
@@ -127,7 +128,8 @@ def test_kernel_elements_are_invisible_to_the_click_map():
 
 
 def test_kernel_basis_is_reduced_and_sorted():
-    for n in (4, 5, 9, 11):
+    # 300..599 are test_chasing's large sides, beyond its n <= 64 digests
+    for n in (4, 5, 9, 11, 300, 341, 383, 599):
         basis = list(kernel_basis(n))
         lows = [e.bits & -e.bits for e in basis]
         assert lows == sorted(lows)  # sorted by leading cell
@@ -216,12 +218,41 @@ def test_all_solutions_unsolvable():
         all_solutions(CellSet(5, 1 << 3))
 
 
-def test_nullity_cap_refuses_big_kernels():
+def test_nullity_cap_refuses_big_kernels(monkeypatch):
+    def no_kernel(n):
+        raise AssertionError(f"kernel_basis({n}) chased for an enumeration that is refused")
+
+    monkeypatch.setattr(gridmap, "kernel_basis", no_kernel)
     config = apply_clicks(CellSet.full(39))  # nullity 32, over the cap of 20
     with pytest.raises(ValueError, match="nullity 32"):
         all_solutions(config)
     with pytest.raises(ValueError, match="nullity 32"):
         min_clicks(config)
+    with pytest.raises(UnsolvableError):  # solving still comes first
+        min_clicks(CellSet(39, 1))
+
+
+def test_solving_never_builds_the_kernel(monkeypatch):
+    def no_kernel(n):
+        raise AssertionError(f"kernel_basis({n}) built to solve a board")
+
+    monkeypatch.setattr(gridmap, "kernel_basis", no_kernel)
+    rng = random.Random(0x5A)
+    for _ in range(40):
+        config = rand_cellset(rng, 5)
+        expect = naive.solve_naive(5, config.bits) is not None
+        assert is_solvable(config) == expect
+        if expect:
+            assert apply_clicks(solve_particular(config)) == config
+        else:
+            with pytest.raises(UnsolvableError):
+                solve_particular(config)
+    config = apply_clicks(rand_cellset(rng, 39))
+    assert is_solvable(config)
+    assert apply_clicks(solve_particular(config)) == config
+    assert not is_solvable(CellSet(39, 1))
+    with pytest.raises(UnsolvableError):
+        solve_particular(CellSet(39, 1))
 
 
 def test_min_clicks_matches_exhaustive_oracle():

@@ -7,7 +7,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from lightsout.gf2poly import nullity
-from lightsout.gridmap import CellSet, all_solutions, apply_clicks, min_clicks, solve_particular
+from lightsout.gridmap import (
+    CellSet,
+    all_solutions,
+    apply_clicks,
+    is_solvable,
+    kernel_basis,
+    min_clicks,
+    solve_particular,
+)
 
 import naive
 
@@ -24,6 +32,16 @@ def click_sets(draw, sides):
 def test_solve_particular_solves_every_image(clicks):
     board = apply_clicks(clicks)
     assert apply_clicks(solve_particular(board)) == board
+
+
+@given(click_sets(st.integers(1, 40)), st.booleans())
+def test_is_solvable_iff_orthogonal_to_the_kernel(board, image):
+    # the click matrix is symmetric, so its image is the kernel's
+    # orthogonal complement: an oracle independent of the reduction
+    if image:
+        board = apply_clicks(board)
+    orthogonal = all((board.bits & e.bits).bit_count() % 2 == 0 for e in kernel_basis(board.n))
+    assert is_solvable(board) == orthogonal
 
 
 @given(click_sets(st.sampled_from(SMALL_COSETS)))
