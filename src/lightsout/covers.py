@@ -9,8 +9,8 @@ one below a multiple of n monotone in k.
 
 On a grid with kernel dimension exactly 2 the three nonzero covers cut the
 board into four disjoint membership regions (every cell lies in either none
-or exactly two of the covers); those regions drive the worst-case click
-count analysis in the mcp module.
+or exactly two of the covers): the d = 2 case of the kernel's cell types,
+which the mcp module's worst-case construction reads directly.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def tile_cover(q: CellSet, n: int, k: int) -> CellSet:
 def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:
     """The four membership regions (R1, R2, R3, R4) of the (6k-1)x(6k-1) grid.
 
-    Defined only when the grid's kernel dimension is exactly 2. A cell
-    lies in none or in exactly two of the three nonzero covers (the third
-    is the XOR of the other two), so R1, R2, R3 are the pairwise cover
-    intersections, sorted by (size, first cell in row-major order), and
-    R4 is the rest. Their sizes are 4k^2, 8k^2, 8k^2 and 16k^2 - 12k + 1.
+    Defined only when the grid's kernel dimension is exactly 2. R4 is
+    cell type 0 (``KernelBasis.cell_types``); R1, R2, R3 are the three
+    nonzero types, the pairwise intersections of the three covers, sorted
+    by (size, first cell in row-major order). Their sizes are 4k^2, 8k^2,
+    8k^2 and 16k^2 - 12k + 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -83,12 +83,8 @@ def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:
             f"{n}x{n} grid has nullity {len(kb)}, not 2; "
             "the four-region partition is undefined"
         )
-    b1, b2 = (e.bits for e in kb.basis)
-    pairs = sorted(
-        (b1 & b2, b1 & ~b2, b2 & ~b1),  # E1&E2, E1&E3, E2&E3 for E3 = E1 ^ E2
-        key=lambda r: (r.bit_count(), r & -r),
-    )
+    r4, *pairs = kb.cell_types()
+    pairs.sort(key=lambda r: (r.bit_count(), r & -r))
     if [r.bit_count() for r in pairs] != [4 * k * k, 8 * k * k, 8 * k * k]:
         raise ValueError("cover intersections do not match the 4k^2 and 8k^2 region sizes")
-    r4 = ((1 << (n * n)) - 1) & ~(b1 | b2)
     return tuple(CellSet(n, r) for r in (*pairs, r4))  # type: ignore[return-value]

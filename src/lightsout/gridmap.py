@@ -124,6 +124,17 @@ class KernelBasis:
             vals += [v ^ b.bits for v in vals]
         return [CellSet(self.n, v) for v in vals[1:]]
 
+    def cell_types(self) -> list[int]:
+        """The 2^d cell masks by type (d must be small).
+
+        Entry t holds the cells that lie in basis vector j exactly when
+        bit j of t is set; entry 0 is the cells no kernel element touches.
+        """
+        types = [(1 << self.n * self.n) - 1]
+        for b in self.basis:
+            types = [m & ~b.bits for m in types] + [m & b.bits for m in types]
+        return types
+
 
 # -- click map ---------------------------------------------------------------
 

@@ -3,13 +3,12 @@
 The MCP asks how many clicks a worst-case solvable configuration needs.
 For kernel dimension 0 every configuration has a unique solution and the
 answer is the full board. For grids of side 6k-1 whose kernel dimension
-is 2, the four cover-membership regions bound any minimal solution's
-overlap with each region; maximizing the total click count under those
-constraints is a three-variable integer program whose optimum gives
-26k^2 - 12k + 1 clicks, and a click set realizing the optimum with the
-whole fourth region produces a configuration whose four solutions all
-have exactly that weight. That configuration and its witness form a
-certificate that the bound is attained, trusted only once
+is 2, a minimal solution meets each nonzero cover in at most half its
+cells, which caps its overlap with the kernel's three nonzero cell types
+and gives 26k^2 - 12k + 1 clicks at most. Half of each nonzero type plus
+all of type 0 attains the cap: the configuration it clicks has four
+solutions of exactly that weight. That configuration and its witness form
+a certificate that the bound is attained, trusted only once
 ``verify_certificate`` has recomputed it.
 
 An exhaustive oracle is included for small boards: the solvable
@@ -26,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .covers import region_partition
 from .gf2poly import nullity
 from .gridmap import (
     CellSet,
@@ -54,24 +52,6 @@ def mcp_formula(k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     return 26 * k * k - 12 * k + 1
-
-
-def ilp_optimum(k: int) -> tuple[int, int, int]:
-    """Optimal region click counts (R1, R2, R3) = (2, 4, 4) * k^2.
-
-    Maximizes R1+R2+R3 subject to R2+R3 <= 8k^2, R1+R2 <= 6k^2,
-    R1+R3 <= 6k^2 and the region capacities. Optimality needs no solver:
-    summing the three constraints gives 2(R1+R2+R3) <= 20k^2, and the
-    returned point is feasible with objective exactly 10k^2.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    kk = k * k
-    r1, r2, r3 = 2 * kk, 4 * kk, 4 * kk
-    assert r2 + r3 <= 8 * kk and r1 + r2 <= 6 * kk and r1 + r3 <= 6 * kk
-    assert 0 <= r1 <= 4 * kk and 0 <= r2 <= 8 * kk and 0 <= r3 <= 8 * kk
-    assert 2 * (r1 + r2 + r3) == 20 * kk
-    return r1, r2, r3
 
 
 # -- exhaustive oracle -------------------------------------------------------
@@ -214,12 +194,10 @@ class McpCertificate:
 
 
 def _lowest_bits(bits: int, count: int) -> int:
-    """The ``count`` lowest set bits of ``bits``."""
+    """The ``count`` lowest set bits of ``bits``, which has at least that many."""
     out = 0
     for _ in range(count):
         low = bits & -bits
-        if not low:
-            raise ValueError("set has fewer cells than requested")
         out |= low
         bits ^= low
     return out
@@ -228,11 +206,16 @@ def _lowest_bits(bits: int, count: int) -> int:
 def worst_case_construct(k: int) -> McpCertificate:
     """Build a worst-case configuration certificate for the (6k-1)x(6k-1) grid.
 
-    Picks a click set with 2k^2 cells in region 1, 4k^2 in regions 2 and 3
-    (the first cells of each region in row-major order) and all of region 4.
-    Its image is a configuration whose every solution uses exactly
-    26k^2 - 12k + 1 clicks. If the grid's nullity is not 2 the bound is
-    still valid but unattained evidence is returned (non-certifying).
+    Type 0 of the kernel's cell types (``KernelBasis.cell_types``) has
+    16k^2 - 12k + 1 cells; the nonzero types have 4k^2, 8k^2 and 8k^2, and
+    each cover is two of them. A minimal solution x meets each cover in at
+    most half its cells, so with a_t = |x & type t| (types by size)
+    a_1 + a_2 <= 6k^2, a_1 + a_3 <= 6k^2 and a_2 + a_3 <= 8k^2. Summing,
+    2(a_1 + a_2 + a_3) <= 20k^2, so x has at most 26k^2 - 12k + 1 cells.
+    The witness, all of type 0 and the first half of each nonzero type in
+    row-major order, attains it: every solution of its image has exactly
+    that weight. If the nullity is not 2 the bound still holds but the
+    certificate is non-certifying.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -248,9 +231,9 @@ def worst_case_construct(k: int) -> McpCertificate:
             worst_config=None,
             witness=None,
         )
-    r1, r2, r3, r4 = (reg.bits for reg in region_partition(k))
-    c1, c2, c3 = ilp_optimum(k)
-    x = _lowest_bits(r1, c1) | _lowest_bits(r2, c2) | _lowest_bits(r3, c3) | r4
+    x, *nonzero = kb.cell_types()
+    for t in nonzero:
+        x |= _lowest_bits(t, t.bit_count() // 2)
     witness = CellSet(n, x)
     if len(witness) != bound:
         raise RuntimeError("constructed witness weight disagrees with the formula")

@@ -194,6 +194,19 @@ def kernel_span_naive(n: int) -> set[int]:
     return span
 
 
+def cell_types_naive(n: int, basis: list[int]) -> list[int]:
+    """Cell masks by type: cell v goes to t = sum of 2^j over the basis
+    vectors j that contain it, one cell at a time."""
+    types = [0] * (1 << len(basis))
+    for v in range(n * n):
+        t = 0
+        for j, b in enumerate(basis):
+            if (b >> v) & 1:
+                t |= 1 << j
+        types[t] |= 1 << v
+    return types
+
+
 def solve_naive(n: int, config: int) -> int | None:
     """One click set producing ``config``, or None; augmented elimination."""
     size = n * n

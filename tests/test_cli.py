@@ -5,6 +5,7 @@ in-process; exit codes come from its return value so argparse's own
 SystemExit never escapes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -225,6 +226,22 @@ def test_regions_k1(capsys):
     assert code == 0
     assert "region 1: 4 cells" in out
     assert "region 4: 5 cells" in out
+
+
+# sha256 of `regions --k k` stdout, recorded before the regions were read
+# from the kernel's cell types
+REGIONS_SHA256 = {
+    1: "e45102877d3d48967c64e9a34b3b7e42e2e844ca2536be7cf4836a5fd3d2498f",
+    3: "170ea11dd5dea578318bc024940963e218d66cfd8818eb681a8b978dce6866bb",
+    7: "632b6aaecd85ec6b9454e363bb416977ad06c42a08c25f44fc6591c2da88a5c9",
+}
+
+
+@pytest.mark.parametrize("k", sorted(REGIONS_SHA256))
+def test_regions_stdout_is_pinned(capsys, k):
+    code, out, _ = run(capsys, "regions", "--k", str(k))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REGIONS_SHA256[k]
 
 
 def test_regions_k2_fails(capsys):

@@ -149,6 +149,46 @@ def test_span_nonzero_count():
     assert kernel_basis(3).span_nonzero() == []
 
 
+# The type list has 2^d entries, so the checks below stop at this nullity.
+TYPES_MAX_D = 16
+
+
+def test_cell_types_match_oracle_and_partition_the_board():
+    checked = 0
+    for n in range(1, 65):
+        kb = kernel_basis(n)
+        if len(kb) > TYPES_MAX_D:
+            continue
+        types = kb.cell_types()
+        assert types == naive.cell_types_naive(n, [e.bits for e in kb]), f"n={n}"
+        union = 0
+        for m in types:
+            assert not union & m
+            union |= m
+        assert union == (1 << n * n) - 1
+        checked += 1
+    assert checked == 56  # every side up to 64 but the eight with d > 16
+
+
+# nonempty nonzero cell types on the d = 8 sides up to 120
+D8_TYPES = {9: 55, 16: 60, 49: 55, 50: 60, 69: 55, 109: 55, 118: 60}
+
+
+def test_nonempty_nonzero_type_counts_up_to_120():
+    by_d = {0: 0, 2: 3, 4: 12, 6: 22}
+    seen_d8 = {}
+    for n in range(1, 121):
+        kb = kernel_basis(n)
+        if len(kb) > 8:
+            continue
+        count = sum(1 for m in kb.cell_types()[1:] if m)
+        if len(kb) == 8:
+            seen_d8[n] = count
+        else:
+            assert count == by_d[len(kb)], f"n={n}, d={len(kb)}"
+    assert seen_d8 == D8_TYPES
+
+
 # -- solvability and solving ----------------------------------------------------
 
 def test_is_solvable_matches_oracle():

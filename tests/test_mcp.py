@@ -1,6 +1,7 @@
 """Worst-case click counts: formula, exhaustive oracle, certificates."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,6 @@ from lightsout import mcp
 from lightsout.gridmap import CellSet, apply_clicks, kernel_basis, min_clicks
 from lightsout.mcp import (
     McpCertificate,
-    ilp_optimum,
     mcp_bruteforce,
     mcp_formula,
     verify_certificate,
@@ -27,23 +27,6 @@ def test_formula_values(k, value):
 def test_formula_rejects_nonpositive():
     with pytest.raises(ValueError):
         mcp_formula(0)
-
-
-def test_ilp_optimum_point_and_bound():
-    for k in (1, 2, 3, 5):
-        r1, r2, r3 = ilp_optimum(k)
-        kk = k * k
-        assert (r1, r2, r3) == (2 * kk, 4 * kk, 4 * kk)
-        # objective meets the summed-constraint ceiling exactly
-        assert r1 + r2 + r3 == 10 * kk
-        # feasibility against the pairwise constraints
-        assert r2 + r3 <= 8 * kk and r1 + r2 <= 6 * kk and r1 + r3 <= 6 * kk
-
-
-def test_ilp_plus_region4_equals_formula():
-    for k in (1, 2, 3, 4):
-        r4 = 16 * k * k - 12 * k + 1
-        assert sum(ilp_optimum(k)) + r4 == mcp_formula(k)
 
 
 # -- exhaustive oracle ------------------------------------------------------------
@@ -135,6 +118,33 @@ def test_certificate_witness_meets_every_cover_in_half_its_cells():
         assert (x ^ e.bits).bit_count() == cert.claimed_min
         # equivalently: |X & E| = |E| / 2
         assert (x & e.bits).bit_count() * 2 == len(e)
+
+
+# sha256 of worst_case_construct(k).to_json(), recorded before the witness
+# was read from the kernel's cell types instead of the four regions
+CERT_SHA256 = {
+    1: "6140acb2776eb72000d0df4bea3b6fec1f3d9de15f643c276a155928fbd66342",
+    3: "7b11fc42d845d8acfe51433467df47498abde477df7be29733c04da6974d991b",
+    7: "c2efc149b6839e36c5f465a20fd41354bfeb3e1adfb2813b04d745965110d635",
+    9: "447879e1a8f970c2dbb92ed1f6baf3fa2544001032500c97d9b4554637ca73d4",
+    13: "3d88b93338c7576b0ec5bf439fb7d71c29debc2c586186413f08da64e0eb3021",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CERT_SHA256))
+def test_certificate_json_is_pinned(k):
+    text = worst_case_construct(k).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[k]
+
+
+@pytest.mark.parametrize("k", sorted(CERT_SHA256))
+def test_witness_is_half_of_each_nonzero_type_and_all_of_type_0(k):
+    x = worst_case_construct(k).witness.bits
+    zero, *nonzero = kernel_basis(6 * k - 1).cell_types()
+    assert x & zero == zero
+    for t in nonzero:
+        assert 2 * (x & t).bit_count() == t.bit_count()
+    assert x.bit_count() == mcp_formula(k)
 
 
 def test_certificate_k3():

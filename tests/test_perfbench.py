@@ -2,15 +2,21 @@
 
 perfbench/ holds the benchmark and its own validator suite; running that
 suite here means a change to certificate JSON or CLI output that the
-benchmark would reject fails the ordinary test run too. The tracer test
-does the same for ``--trace 1``, which wraps public functions by name.
+benchmark would reject fails the ordinary test run too. One pass of each
+workload runs here as well, so an answer its checks refuse fails this
+run. The tracer test does the same for ``--trace 1``, which wraps public
+functions by name.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from lightsout.cli import main
 
@@ -23,6 +29,19 @@ def test_perfbench_validator_suite_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+@pytest.mark.parametrize("workload", ["census", "queries", "mcp"])
+def test_one_benchmark_pass_has_no_refused_or_wrong_answer(workload, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+         "--workload", workload, "--seed", "1", "--tmp", str(tmp_path)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["refused"] == [] and report["wrong"] == []
 
 
 def _load_tracer():
