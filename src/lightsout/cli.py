@@ -127,8 +127,8 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.jsonl and not args.out:
-        raise ValueError("--jsonl needs --out")
+    if args.out is not None:  # created now, so an unwritable path fails before the scan
+        open(args.out, "w", encoding="utf-8").close()
 
     last = -1
 
@@ -143,10 +143,10 @@ def _cmd_scan(args) -> int:
         args.n_max,
         fast=args.fast,
         workers=args.workers,
-        out=args.out,
-        jsonl=args.jsonl,
         progress=progress if args.n_max >= 5000 else None,
     )
+    if args.out is not None:
+        scan.write_records_csv(records, args.out)
     twos = [rec.n for rec in records if rec.nullity == 2]
     if twos and len(twos) <= _LIST_LIMIT:
         print("nullity-2 sides: " + ", ".join(str(n) for n in twos))
@@ -226,8 +226,7 @@ def _build_parser() -> _Parser:
                    help="only sides n = 5 mod 12, by the halving identities; "
                         "d(n) is always even and every d = 2 side is 5 mod 12, "
                         "so the d = 2 count is exact")
-    p.add_argument("--out", help="write records here (CSV unless --jsonl)")
-    p.add_argument("--jsonl", action="store_true")
+    p.add_argument("--out", help="write records here as CSV")
     p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_scan)
 

@@ -57,7 +57,7 @@ class CellSet:
 
     __slots__ = ("n", "bits")
 
-    def __init__(self, n: int, bits: int = 0) -> None:
+    def __init__(self, n: int, bits: int) -> None:
         if n < 1:
             raise ValueError("grid side length must be >= 1")
         if bits < 0 or bits >> (n * n):

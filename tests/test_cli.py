@@ -282,15 +282,21 @@ def test_scan_unwritable_out_fails_before_the_scan(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
-def test_scan_jsonl_requires_out(capsys):
-    code, _, err = run(capsys, "scan", "30", "--jsonl")
-    assert code == 1 and "--out" in err
-
-
 def test_scan_fast_mode(capsys):
     code, out, _ = run(capsys, "scan", "60", "--fast")
     assert code == 0
     assert "nullity-2 sides: 5, 17, 41, 53" in out
+
+
+def test_scan_fast_census_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # the benchmark's `census` operation, end to end: stdout and file bytes
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "scan", "25000", "--fast", "--out", "census.csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "10491aaf05d861455373928dc32f34a625ba3de609719c17c0da9d20fb6d6892")
+    assert hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest() == (
+        "0221ab95ff66e7c0de41955c0c4adfc0860586ba3c1757258ccedab0948e64b6")
 
 
 def test_scan_stdout_is_deterministic(capsys):

@@ -45,7 +45,7 @@ def test_cellset_rejects_out_of_range_bits():
     with pytest.raises(ValueError):
         CellSet(2, -1)
     with pytest.raises(ValueError):
-        CellSet(0)
+        CellSet(0, 0)
 
 
 def test_cellset_set_algebra():

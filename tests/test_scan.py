@@ -1,9 +1,8 @@
 """Census machinery: block scans, reports, persistence."""
 
-import json
-
 import pytest
 
+from lightsout.cli import main
 from lightsout.gf2poly import nullity
 from lightsout.scan import (
     ScanRecord,
@@ -13,7 +12,6 @@ from lightsout.scan import (
     scan_range,
     verify_congruences,
     write_records_csv,
-    write_records_jsonl,
 )
 
 
@@ -95,19 +93,14 @@ def test_census_fast_agrees_with_full_under_500():
     assert full_report.checked == fast_report.checked == len(twos_full)
 
 
-def test_census_writes_sorted_csv(tmp_path):
+def test_census_writes_sorted_csv(tmp_path, capsys):
+    # the census itself writes nothing; `lightsout scan --out` does
     out = tmp_path / "census.csv"
-    records, report = census(120, out=str(out))
-    on_disk = read_records_csv(str(out))
-    assert on_disk == records == sorted(records)
+    assert main(["scan", "120", "--out", str(out)]) == 0
+    capsys.readouterr()
+    records, _ = census(120)
+    assert read_records_csv(str(out)) == records == sorted(records)
     assert out.read_text().startswith("n,nullity\n")
-
-
-def test_census_writes_jsonl(tmp_path):
-    out = tmp_path / "census.jsonl"
-    records, _ = census(60, fast=True, out=str(out), jsonl=True)
-    lines = out.read_text().splitlines()
-    assert [ScanRecord(**json.loads(line)) for line in lines] == records
 
 
 def test_census_progress_reaches_total():
@@ -127,15 +120,17 @@ def test_congruence_report_clean():
 
 
 def test_congruence_report_flags_violations():
-    # a fabricated nullity-2 record at n=7 violates the mod-6 and mod-12
-    # congruences but not oddness
+    # fabricated nullity-2 records: n=7 is odd but 1 mod 6, n=4 is even;
+    # neither is 5 mod 12
     report = verify_congruences([ScanRecord(7, 2), ScanRecord(4, 2)])
     assert not report.ok
-    assert len(report.violations) == 2
-    by_n = {v.n: v.failed for v in report.violations}
-    assert by_n[7] == ("n % 6 == 5", "n % 12 == 5")
-    assert by_n[4] == ("n % 2 == 1", "n % 6 == 5", "n % 12 == 5")
-    assert any("VIOLATION" in line for line in report.summary_lines())
+    assert report.checked == 2
+    assert report.violations == (ScanRecord(7, 2), ScanRecord(4, 2))
+    assert report.summary_lines() == [
+        "nullity-2 sides checked: 2",
+        "VIOLATION: n=7 (nullity 2) is not 5 mod 12",
+        "VIOLATION: n=4 (nullity 2) is not 5 mod 12",
+    ]
 
 
 def test_congruences_ignore_other_nullities():
@@ -169,9 +164,3 @@ def test_csv_reader_skips_header_only(tmp_path):
     path.write_text("n,nullity\n")
     assert read_records_csv(str(path)) == []
 
-
-def test_jsonl_round_trip(tmp_path):
-    path = tmp_path / "r.jsonl"
-    records = [ScanRecord(4, 4), ScanRecord(5, 2)]
-    write_records_jsonl(records, str(path))
-    assert path.read_text() == '{"n": 4, "nullity": 4}\n{"n": 5, "nullity": 2}\n'
