@@ -88,6 +88,8 @@ def _cmd_mcp(args) -> int:
     if (args.n is None) == (args.k is None):
         raise ValueError("give exactly one of a side length n or --k")
     if args.brute:
+        if args.out is not None:
+            raise ValueError("--out needs --certify")
         n = args.n if args.n is not None else 6 * args.k - 1
         value, _ = mcp.mcp_bruteforce(n)
         print(value)

@@ -24,7 +24,6 @@ solutions clear on every kernel leading cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import xor
@@ -99,17 +98,34 @@ class CellSet:
         return format_pattern(self)
 
 
-@dataclass(frozen=True)
 class KernelBasis:
     """Canonical basis of the click map's kernel for an n-by-n grid.
 
     Basis vectors are in reduced row-echelon form over the row-major cell
     order (each has a leading cell no other basis vector touches), sorted
-    by leading cell, so output is reproducible run to run.
+    by leading cell, so output is reproducible run to run. Immutable: the
+    cached basis of a size is shared by every caller.
     """
 
-    n: int
-    basis: tuple[CellSet, ...]
+    __slots__ = ("n", "basis")
+
+    def __init__(self, n: int, basis: tuple[CellSet, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"KernelBasis is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KernelBasis):
+            return NotImplemented
+        return self.n == other.n and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.basis))
+
+    def __repr__(self) -> str:
+        return f"KernelBasis(n={self.n!r}, basis={self.basis!r})"
 
     def __len__(self) -> int:
         return len(self.basis)

@@ -22,8 +22,7 @@ states, where a scan would visit 2^(n^2 - d) representatives.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2poly import nullity
 from .gridmap import (
@@ -142,8 +141,7 @@ def _pattern_or_none(value) -> CellSet | None:
     return parse_pattern(value) if value else None
 
 
-@dataclass(frozen=True)
-class McpCertificate:
+class McpCertificate(NamedTuple):
     """A worst-case configuration with the witness that certifies it.
 
     When the grid's nullity is 2 the witness click set hits every kernel
@@ -166,6 +164,8 @@ class McpCertificate:
         return self.witness is not None and verify_certificate(self)
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "k": self.k,
             "n": self.n,
@@ -180,6 +180,8 @@ class McpCertificate:
     @classmethod
     def from_json(cls, text: str) -> McpCertificate:
         """Read a certificate; a stored ``certified`` or ``checks`` is ignored."""
+        import json
+
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("certificate JSON must be an object")

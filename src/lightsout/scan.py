@@ -21,11 +21,8 @@ objects for the congruence check and the d(2*3^k - 1) = 2 conjecture.
 from __future__ import annotations
 
 import contextlib
-import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gf2poly import nullity, nullity_range
 
@@ -45,8 +42,7 @@ BLOCK_SIZE = 512
 FAST_RESIDUE = (12, 5)
 
 
-@dataclass(frozen=True, order=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """One scanned side: ``n`` and the kernel dimension of its grid."""
 
     n: int
@@ -87,6 +83,8 @@ def scan_range(
     with contextlib.ExitStack() as stack:
         mapper = map
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # ~20 ms, so only for a pool
+
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for (_, hi, _), pairs in zip(tasks, mapper(_scan_block, tasks)):
             records += [ScanRecord(n, d) for n, d in pairs]
@@ -114,8 +112,7 @@ def census(
 
 # -- reports -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Congruence audit of the d = 2 sides in a scan."""
 
     checked: int
@@ -142,8 +139,7 @@ def verify_congruences(records: Iterable[ScanRecord]) -> CongruenceReport:
                             violations=tuple(r for r in twos if r.n % 12 != 5))
 
 
-@dataclass(frozen=True)
-class ConjectureEntry:
+class ConjectureEntry(NamedTuple):
     k: int
     n: int
     nullity: int
@@ -153,8 +149,7 @@ class ConjectureEntry:
         return self.nullity == 2
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Evidence for d(2*3^k - 1) = 2 across a range of k."""
 
     entries: tuple[ConjectureEntry, ...]
@@ -189,6 +184,8 @@ def check_conjecture_2_3k(k_max: int) -> ConjectureReport:
 # -- persistence ---------------------------------------------------------------
 
 def write_records_csv(records: Sequence[ScanRecord], path: str) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "nullity"])
@@ -196,6 +193,8 @@ def write_records_csv(records: Sequence[ScanRecord], path: str) -> None:
 
 
 def read_records_csv(path: str) -> list[ScanRecord]:
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return [ScanRecord(int(row[0]), int(row[1]))
                 for row in csv.reader(fh) if row and row[0] != "n"]

@@ -5,9 +5,9 @@ test see how large a process pool ``scan`` would start without starting
 one.
 """
 
-import pytest
+import concurrent.futures
 
-from lightsout import scan
+import pytest
 
 try:
     from hypothesis import settings
@@ -20,7 +20,7 @@ else:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the process pool of ``scan`` for an in-process stub.
+    """Swap the process pool ``scan`` imports for an in-process stub.
 
     Returns the list of ``max_workers`` each pool was created with.
     """
@@ -39,5 +39,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lightsout import McpCertificate, read_records_csv, verify_certificate
+from lightsout import McpCertificate, mcp, read_records_csv, verify_certificate
 from lightsout.cli import _build_parser, main
 
 
@@ -186,6 +186,18 @@ def test_mcp_certify_side_not_6k_minus_1(capsys):
 def test_mcp_needs_exactly_one_of_n_and_k(capsys):
     assert run(capsys, "mcp", "5", "--k", "1", "--brute")[0] == 1
     assert run(capsys, "mcp", "--brute")[0] == 1
+
+
+def test_mcp_brute_refuses_out_before_searching(capsys, tmp_path, monkeypatch):
+    def no_search(n):
+        raise AssertionError("searched although --out was refused")
+
+    monkeypatch.setattr(mcp, "mcp_bruteforce", no_search)
+    out_path = tmp_path / "cert.json"
+    for side in ("5", "9"):  # 9 would otherwise be refused for its budget
+        assert run(capsys, "mcp", side, "--brute", "--out", str(out_path)) == (
+            1, "", "error: --out needs --certify\n")
+    assert not out_path.exists()
 
 
 def test_mcp_needs_a_mode(capsys):

@@ -1,6 +1,5 @@
 """Worst-case click counts: formula, exhaustive oracle, certificates."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -257,7 +256,7 @@ def test_verify_rejects_certificate_from_another_grid():
     # every 5x5 cover, and on the 6x6 (nullity 0) its own unique solution
     cert = worst_case_construct(1)
     witness = CellSet(6, cert.witness.bits)
-    foreign = dataclasses.replace(cert, witness=witness, worst_config=apply_clicks(witness))
+    foreign = cert._replace(witness=witness, worst_config=apply_clicks(witness))
     assert not verify_certificate(foreign, check_min_clicks=True)
     assert not McpCertificate.from_json(foreign.to_json()).certified
 

@@ -1,12 +1,25 @@
-"""The public surface: which parameters a caller can leave out.
+"""The public surface: which parameters a caller can leave out, and values.
 
 A defaulted parameter is a setting; every one should have a caller that
 sets it. This list pins the whole set, so adding one is a visible choice.
+The record and report classes are immutable values: equal fields make
+equal, equally hashed objects.
 """
 
 import inspect
 
+import pytest
+
 import lightsout
+from lightsout import (
+    CongruenceReport,
+    ConjectureEntry,
+    ConjectureReport,
+    KernelBasis,
+    McpCertificate,
+    ScanRecord,
+    worst_case_construct,
+)
 from lightsout.cli import main
 
 DEFAULTED = {
@@ -46,3 +59,39 @@ def test_defaulted_parameters_are_exactly_the_settings():
 def test_scan_has_no_jsonl_flag(capsys):
     assert main(["scan", "30", "--jsonl"]) == 1
     assert "unrecognized arguments: --jsonl" in capsys.readouterr().err
+
+
+def _certificate_and_read_back(k):
+    cert = worst_case_construct(k)
+    return cert, McpCertificate.from_json(cert.to_json()), worst_case_construct(k + 1)
+
+
+# name -> (a field, then a value, an equal value built apart, a different value)
+VALUES = {
+    "ScanRecord": ("nullity", lambda: (ScanRecord(5, 2), ScanRecord(5, 2), ScanRecord(5, 0))),
+    "CongruenceReport": ("checked", lambda: (
+        CongruenceReport(1, ()), CongruenceReport(1, ()),
+        CongruenceReport(2, (ScanRecord(7, 2),)))),
+    "ConjectureEntry": ("k", lambda: (
+        ConjectureEntry(1, 5, 2), ConjectureEntry(1, 5, 2), ConjectureEntry(2, 17, 2))),
+    "ConjectureReport": ("entries", lambda: (
+        ConjectureReport((ConjectureEntry(1, 5, 2),)), ConjectureReport((ConjectureEntry(1, 5, 2),)),
+        ConjectureReport(()))),
+    "KernelBasis": ("n", lambda: (KernelBasis(3, ()), KernelBasis(3, ()), KernelBasis(4, ()))),
+    "McpCertificate k=1": ("witness", lambda: _certificate_and_read_back(1)),
+    "McpCertificate k=2": ("claimed_min", lambda: _certificate_and_read_back(2)),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_records_and_reports_are_immutable_values(name):
+    field, build = VALUES[name]
+    value, same, other = build()
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    assert value == same and hash(value) == hash(same)
+    assert value is not same and value != other
+    if name == "ScanRecord":
+        assert sorted([ScanRecord(5, 2), ScanRecord(3, 4), ScanRecord(5, 0)]) == [
+            ScanRecord(3, 4), ScanRecord(5, 0), ScanRecord(5, 2)]
+        assert repr(ScanRecord(5, 2)) == "ScanRecord(n=5, nullity=2)"
