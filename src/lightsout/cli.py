@@ -101,11 +101,13 @@ def _cmd_mcp(args) -> int:
             raise ValueError(f"side {args.n} is not of the form 6k-1; "
                              "certificates need --k or such a side")
         k = (args.n + 1) // 6
+    if args.out is not None:  # created now, so an unwritable path fails before the construction
+        open(args.out, "w", encoding="utf-8").close()
     cert = mcp.worst_case_construct(k)
     print(cert.claimed_min)
     if not cert.certified:
         print(f"upper bound only (nullity {cert.nullity})")
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(cert.to_json())
         print(f"certificate written to {args.out}")
@@ -155,7 +157,7 @@ def _cmd_scan(args) -> int:
     print(f"nullity-2 count: {len(twos)}")
     for line in report.summary_lines():
         print(line)
-    if args.out:
+    if args.out is not None:
         print(f"records written to {args.out}")
     return 0 if report.ok else 1
 

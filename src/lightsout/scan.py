@@ -13,7 +13,8 @@ recurrence; it is the ground truth the fast mode is checked against.
 Both take their GCDs over GF(2)[x^2 + x]. The congruence audit runs on
 both as a regression check.
 
-Blocks of sides are scanned optionally across worker processes. Results are
+``census`` scans 1..n_max in blocks of sides, optionally across worker
+processes; ``scan_range`` is one direct sweep over any range. Results are
 plain (n, nullity) records, written and read back as CSV, plus small report
 objects for the congruence check and the d(2*3^k - 1) = 2 conjecture.
 """
@@ -58,26 +59,35 @@ def _scan_block(task: tuple[int, int, bool]) -> list[tuple[int, int]]:
     return [(n, nullity(n)) for n in range(first, hi + 1, modulus)]
 
 
-def scan_range(
-    n_min: int,
+def scan_range(n_min: int, n_max: int) -> list[ScanRecord]:
+    """d(n) for every side n_min..n_max, sorted by n, by one direct-GCD sweep.
+
+    Raises ``ValueError`` unless 1 <= n_min <= n_max.
+    """
+    return [ScanRecord(n, d) for n, d in nullity_range(n_min, n_max)]
+
+
+def census(
     n_max: int,
     fast: bool = False,
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
-) -> list[ScanRecord]:
-    """Scan sides n_min..n_max in blocks of ``BLOCK_SIZE`` sides.
+) -> tuple[list[ScanRecord], "CongruenceReport"]:
+    """Scan sides 1..n_max in blocks of ``BLOCK_SIZE`` and audit the congruence.
 
-    ``fast`` computes only the sides n = 5 (mod 12) of ``FAST_RESIDUE``.
-    ``progress`` is called with (sides done, sides total) after every
-    block, in order of n. The returned list is sorted by n regardless of
-    worker count.
+    ``fast`` computes only the sides n = 5 (mod 12) of ``FAST_RESIDUE``,
+    where the halving identities place every four-element kernel; the
+    full mode scans every side. Blocks run on up to ``workers`` processes
+    (default: one per CPU), never more than there are blocks. ``progress``
+    is called with (sides done, sides total) after every block, in order
+    of n. The records are sorted by n regardless of worker count.
     """
-    if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     if workers is None:
         workers = os.cpu_count() or 1
     tasks = [(lo, min(lo + BLOCK_SIZE - 1, n_max), fast)
-             for lo in range(n_min, n_max + 1, BLOCK_SIZE)]
+             for lo in range(1, n_max + 1, BLOCK_SIZE)]
     workers = min(workers, len(tasks))  # a pool starts all its workers at once
     records: list[ScanRecord] = []
     with contextlib.ExitStack() as stack:
@@ -89,24 +99,7 @@ def scan_range(
         for (_, hi, _), pairs in zip(tasks, mapper(_scan_block, tasks)):
             records += [ScanRecord(n, d) for n, d in pairs]
             if progress is not None:
-                progress(hi - n_min + 1, n_max - n_min + 1)
-    return records
-
-
-def census(
-    n_max: int,
-    fast: bool = False,
-    workers: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> tuple[list[ScanRecord], "CongruenceReport"]:
-    """Scan all sides up to ``n_max`` and check the congruence on the way out.
-
-    Fast mode only inspects n = 5 (mod 12), where the halving identities
-    place every four-element kernel; the full mode scans every side.
-    ``progress`` is called with (sides done, sides total) after every
-    block.
-    """
-    records = scan_range(1, n_max, fast=fast, workers=workers, progress=progress)
+                progress(hi, n_max)
     return records, verify_congruences(records)
 
 
@@ -134,9 +127,10 @@ class CongruenceReport(NamedTuple):
 
 def verify_congruences(records: Iterable[ScanRecord]) -> CongruenceReport:
     """Check n = 5 (mod 12), so also n odd and n = 5 (mod 6), at every d = 2 record."""
+    modulus, value = FAST_RESIDUE
     twos = [rec for rec in records if rec.nullity == 2]
     return CongruenceReport(checked=len(twos),
-                            violations=tuple(r for r in twos if r.n % 12 != 5))
+                            violations=tuple(r for r in twos if r.n % modulus != value))
 
 
 class ConjectureEntry(NamedTuple):

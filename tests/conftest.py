@@ -1,7 +1,7 @@
 """Shared test settings and fixtures.
 
 Hypothesis draws the same examples on every run, and ``pool_sizes`` lets a
-test see how large a process pool ``scan`` would start without starting
+test see how large a process pool ``census`` would start without starting
 one.
 """
 
@@ -20,9 +20,10 @@ else:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the process pool ``scan`` imports for an in-process stub.
+    """Swap the process pool ``census`` imports for an in-process stub.
 
-    Returns the list of ``max_workers`` each pool was created with.
+    Returns the list of ``max_workers`` each pool was created with, one
+    entry per census that ran two or more blocks on two or more workers.
     """
     sizes = []
 

@@ -200,6 +200,19 @@ def test_mcp_brute_refuses_out_before_searching(capsys, tmp_path, monkeypatch):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("out", ["", "missing/x.json"], ids=["empty", "missing-dir"])
+def test_mcp_certify_unusable_out_fails_before_construction(capsys, tmp_path, monkeypatch, out):
+    # like `scan --out`: the file is created first, so nothing reaches stdout
+    def no_construct(k):
+        raise AssertionError("constructed although --out is unusable")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(mcp, "worst_case_construct", no_construct)
+    code, stdout, err = run(capsys, "mcp", "--k", "1", "--certify", "--out", out)
+    assert code == 1 and stdout == ""
+    assert "No such file or directory" in err
+
+
 def test_mcp_needs_a_mode(capsys):
     code, _, err = run(capsys, "mcp", "5")
     assert code == 1 and "required" in err

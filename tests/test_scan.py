@@ -1,4 +1,4 @@
-"""Census machinery: block scans, reports, persistence."""
+"""Census machinery: the block census, direct sweeps, reports, persistence."""
 
 import pytest
 
@@ -27,59 +27,62 @@ def test_scan_range_agrees_with_pointwise_nullity():
         assert rec.nullity == nullity(rec.n)
 
 
-def test_scan_range_block_size_invariance():
-    # blocks start at n_min, so the two halves are cut at other sides
-    full = scan_range(1, 1100, workers=1)
-    assert scan_range(1, 300, workers=1) + scan_range(301, 1100, workers=1) == full
+def test_scan_range_validation():
+    with pytest.raises(ValueError):
+        scan_range(0, 10)
+    with pytest.raises(ValueError):
+        scan_range(10, 5)
+    with pytest.raises(ValueError):
+        census(0)
 
 
-def test_scan_range_residue_filter():
-    records = scan_range(1, 200, fast=True)
+def test_census_blocks_equal_one_sweep():
+    # census blocks start at 1, 513 and 1025; the two sweeps are cut at 300
+    assert census(1100, workers=1)[0] == scan_range(1, 300) + scan_range(301, 1100)
+
+
+def test_census_residue_filter():
+    records, _ = census(200, fast=True)
     assert [r.n for r in records] == list(range(5, 201, 12))
     full = {r.n: r.nullity for r in scan_range(1, 200)}
     assert all(full[r.n] == r.nullity for r in records)
 
 
 def test_fast_scan_equals_the_filtered_full_scan_at_every_edge():
-    for lo in range(1, 61):
-        for hi in range(lo, 61):
-            expected = [r for r in scan_range(lo, hi) if r.n % 12 == 5]
-            assert scan_range(lo, hi, fast=True) == expected, (lo, hi)
+    # blocks start at 1 + 512j, so at 1, 9 or 5 mod 12: n_max past 512 and
+    # 1024 reaches the starts 513 and 1025 and _scan_block's first-side offset
+    full = scan_range(1, 1100)
+    for n_max in [*range(1, 61), 511, 512, 513, 1024, 1025, 1100]:
+        expected = [r for r in full if r.n <= n_max and r.n % 12 == 5]
+        assert census(n_max, fast=True, workers=1)[0] == expected, n_max
 
 
 def test_fast_scan_records_match_the_full_scan_to_6000():
     # every record's nullity, not only which sides have d = 2
     expected = [r for r in scan_range(1, 6000) if r.n % 12 == 5]
     for workers in (1, 2):
-        assert scan_range(1, 6000, fast=True, workers=workers) == expected
+        assert census(6000, fast=True, workers=workers)[0] == expected
 
 
-def test_scan_range_validation():
-    with pytest.raises(ValueError):
-        scan_range(0, 10)
-    with pytest.raises(ValueError):
-        scan_range(10, 5)
-
-
-def test_scan_range_on_block_spans_cover_range():
+def test_census_progress_after_every_block():
     for workers in (1, 2):
         seen = []
-        scan_range(1, 1100, workers=workers,
-                   progress=lambda done, total: seen.append((done, total)))
+        census(1100, workers=workers,
+               progress=lambda done, total: seen.append((done, total)))
         assert seen == [(512, 1100), (1024, 1100), (1100, 1100)]
 
 
-def test_scan_range_parallel_matches_serial():
-    serial = scan_range(1, 1300, workers=1)  # three 512-side blocks
-    parallel = scan_range(1, 1300, workers=2)
+def test_census_parallel_matches_serial():
+    serial = census(1300, workers=1)  # three 512-side blocks
+    parallel = census(1300, workers=2)
     assert serial == parallel
 
 
 def test_scan_pool_is_no_larger_than_its_blocks(pool_sizes):
-    records = scan_range(1, 1100, workers=64)
-    assert records == scan_range(1, 1100, workers=1)
+    records, _ = census(1100, workers=64)
+    assert records == scan_range(1, 1100)
     assert pool_sizes == [3]  # three blocks of at most 512 sides
-    scan_range(1, 512, workers=64)  # one block runs in-process
+    census(512, workers=64)  # one block runs in-process
     assert pool_sizes == [3]
 
 

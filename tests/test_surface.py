@@ -25,9 +25,6 @@ from lightsout.cli import main
 DEFAULTED = {
     ("nullity_range", "include"),
     ("verify_certificate", "check_min_clicks"),
-    ("scan_range", "fast"),
-    ("scan_range", "workers"),
-    ("scan_range", "progress"),
     ("census", "fast"),
     ("census", "workers"),
     ("census", "progress"),
