@@ -33,12 +33,13 @@ x*(A + x*B) = y*B + x*(A + B), so
 
 from f_1 = (1, 0) and f_2 = (0, 1); ``<< 1`` multiplies by y.
 
-Two routes compute d(n). They share only ``poly_gcd`` and the lemma
-above. ``nullity_range`` takes one GCD for every side of a block, over
-one shared sweep of that recurrence. ``nullity`` uses the halving
-identities (Sutner, TCS 2000; Hunziker, Machiavelo & Park, TCS 2004),
-which follow from the doubling formulas f_{2k} = x*f_k^2 and
-f_{2k+1} = (f_k + f_{k+1})^2:
+Two routes compute d(n); they share ``poly_gcd``, the lemma and the
+recurrence step above (``_y_sweep``). ``nullity_range`` takes one GCD
+for every side of a block, over one sweep of that recurrence from f_1;
+a full census block resumes the census's one sweep at its first side.
+``nullity`` uses the halving identities (Sutner, TCS 2000; Hunziker,
+Machiavelo & Park, TCS 2004), which follow from the doubling formulas
+f_{2k} = x*f_k^2 and f_{2k+1} = (f_k + f_{k+1})^2:
 
     d(2m-1) = 2*d(m-1) + 2*[3 | m],   d(0) = 0,
     d(2m)   = 2*deg gcd(h, h(x+1)),   h = f_m + f_{m+1}.
@@ -47,12 +48,21 @@ So d(n) is always even, and d(n) = 2 exactly when n = 2m-1 with
 m = 3 (mod 6) and d(m-1) = 0: every nullity-2 side is 5 mod 12. By the
 lemma, d(2m) = 4*deg gcd(a, b) for the y-form (a, b) of h, so d(n) is a
 multiple of 4 for every even n. That y-form comes straight from
-doubling (``_fib_pair_y``), so no substitution is ever computed, and a
-nullity-2 side costs one GCD of degree about n/8.
+doubling (``_fib_pair_y``), so no substitution is ever computed. A side
+n = 5 (mod 12) takes one odd step, with 3 | (n+1)/2, to an even side:
+
+    d(n) = 2 + 8*deg gcd(a, b),   m = (n-1)/4,
+
+one GCD of degree about n/8. The fast census (``_fast_block``) doubles
+once per block and then steps m -> m + 3 by three recurrence steps per
+side. The sweep never doubles and ``nullity`` never sweeps, which
+``test_fast_and_full_routes_stay_independent`` and
+``test_census_routes_stay_independent`` check by patching one out.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable
 
 __all__ = ["poly_gcd", "nullity", "nullity_range"]
@@ -62,12 +72,13 @@ def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor; not defined when both arguments are zero."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    da, db = a.bit_length(), b.bit_length()
+    db = b.bit_length()
     while db:
-        if da < db:
-            a, b, da, db = b, a, db, da
-        a ^= b << (da - db)
         da = a.bit_length()
+        while da >= db:  # a mod b, one leading term at a time
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b, db = b, a, da
     return a
 
 
@@ -130,10 +141,29 @@ def nullity_range(
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
-    out: list[tuple[int, int]] = []
-    (a0, b0), (a1, b1) = (1, 0), (0, 1)  # f_1, f_2 = x; (a1, b1) is f_{n+1}
-    for n in range(1, hi + 1):
-        if n >= lo and (include is None or include(n)):
-            out.append((n, 2 * (poly_gcd(a1, b1).bit_length() - 1)))
+    return _sweep_block(lo, hi, include, next(islice(_y_sweep(), lo - 1, None)))
+
+
+def _y_sweep(a0: int = 1, b0: int = 0, a1: int = 0, b1: int = 1):
+    """Yield (A_k, B_k, A_{k+1}, B_{k+1}) of (f_k, f_{k+1}), k onwards; f_1, f_2 by default."""
+    while True:
+        yield a0, b0, a1, b1
         a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
-    return out
+
+
+def _sweep_block(lo: int, hi: int, include: Callable[[int], bool] | None,
+                 state: tuple[int, int, int, int]) -> list[tuple[int, int]]:
+    """``nullity_range`` resuming the sweep at ``state``, the y-forms of (f_lo, f_{lo+1})."""
+    return [(n, 2 * (poly_gcd(a, b).bit_length() - 1))
+            for n, (_, _, a, b) in zip(range(lo, hi + 1), _y_sweep(*state))
+            if include is None or include(n)]
+
+
+def _fast_block(first: int, hi: int) -> list[tuple[int, int]]:
+    """(n, d(n)) for n = first, first + 12, ... up to hi, every n = 5 (mod 12):
+    (f_m, f_{m+1}), m = (n - 1)/4, doubled once for the first side, then
+    three recurrence steps a side take m to m + 3."""
+    (a, b), (c, e) = _fib_pair_y((first - 1) // 4)
+    states = islice(_y_sweep(a, b, c, e), 0, None, 3)
+    return [(n, 2 + 8 * (poly_gcd(a0 ^ a1, b0 ^ b1).bit_length() - 1))
+            for n, (a0, b0, a1, b1) in zip(range(first, hi + 1, 12), states)]

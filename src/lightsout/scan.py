@@ -6,12 +6,13 @@ worst-case click analysis applies. By the halving identities in
 :mod:`lightsout.gf2poly`, d(n) is always even, and d(n) = 2 exactly when
 n = 2m-1 with m = 3 (mod 6) and d(m-1) = 0, so every such side is 5 mod 12.
 The census therefore offers a fast mode, exact for d = 2, that only
-inspects n = 5 (mod 12) and computes each d(n) by those identities, one
-GCD of degree about n/8 a side. The full mode takes one direct GCD of
-degree about n/2 per side over a shared sweep of the Fibonacci
-recurrence; it is the ground truth the fast mode is checked against.
-Both take their GCDs over GF(2)[x^2 + x]. The congruence audit runs on
-both as a regression check.
+inspects n = 5 (mod 12), each d(n) one GCD of degree about n/8 by those
+identities; a block doubles once to its first side's Fibonacci pair and
+reaches each next side by three recurrence steps. The full mode takes
+one direct GCD of degree about n/2 per side; the parent sweeps the
+recurrence once to n_max and each block resumes it at its first side.
+It is the ground truth the fast mode is checked against. Both take
+their GCDs over GF(2)[x^2 + x]; the congruence audit checks both.
 
 ``census`` scans 1..n_max in blocks of sides, optionally across worker
 processes; ``scan_range`` is one direct sweep over any range. Results are
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import contextlib
 import os
+from itertools import islice, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .gf2poly import nullity, nullity_range
+from .gf2poly import _fast_block, _sweep_block, _y_sweep, nullity, nullity_range
 
 __all__ = [
     "ScanRecord",
@@ -50,13 +52,12 @@ class ScanRecord(NamedTuple):
     nullity: int
 
 
-def _scan_block(task: tuple[int, int, bool]) -> list[tuple[int, int]]:
-    lo, hi, fast = task
-    if not fast:
-        return nullity_range(lo, hi)
+def _scan_block(task: tuple[int, int, tuple | None]) -> list[tuple[int, int]]:
+    lo, hi, state = task
+    if state:  # full mode: the y-forms of (f_lo, f_{lo+1}) from the parent's sweep
+        return _sweep_block(lo, hi, None, state)
     modulus, value = FAST_RESIDUE
-    first = lo + (value - lo) % modulus
-    return [(n, nullity(n)) for n in range(first, hi + 1, modulus)]
+    return _fast_block(lo + (value - lo) % modulus, hi)
 
 
 def scan_range(n_min: int, n_max: int) -> list[ScanRecord]:
@@ -86,8 +87,10 @@ def census(
         raise ValueError("need n_max >= 1")
     if workers is None:
         workers = os.cpu_count() or 1
-    tasks = [(lo, min(lo + BLOCK_SIZE - 1, n_max), fast)
-             for lo in range(1, n_max + 1, BLOCK_SIZE)]
+    starts = range(1, n_max + 1, BLOCK_SIZE)
+    # one recurrence sweep to n_max gives each full block its (f_lo, f_{lo+1})
+    states = repeat(None) if fast else islice(_y_sweep(), 0, n_max, BLOCK_SIZE)
+    tasks = [(lo, min(lo + BLOCK_SIZE - 1, n_max), st) for lo, st in zip(starts, states)]
     workers = min(workers, len(tasks))  # a pool starts all its workers at once
     records: list[ScanRecord] = []
     with contextlib.ExitStack() as stack:

@@ -116,6 +116,15 @@ def int_compose(a: int, g: int) -> int:
     return out
 
 
+def int_mul(a: int, b: int) -> int:
+    """a*b, one shifted copy of a for every set bit of b."""
+    out = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            out ^= a << i
+    return out
+
+
 def int_gcd(a: int, b: int) -> int:
     """Plain Euclid, each remainder by long division."""
     while b:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lightsout import gf2poly
-from lightsout.gf2poly import _fib_pair_y, nullity, nullity_range, poly_gcd
+from lightsout.gf2poly import _fast_block, _fib_pair_y, nullity, nullity_range, poly_gcd
 
 import naive
 
@@ -51,6 +51,28 @@ def test_gcd_matches_oracle_and_divides():
 def test_gcd_of_zeros_raises():
     with pytest.raises(ValueError):
         poly_gcd(0, 0)
+
+
+def test_gcd_at_census_degrees_finds_a_planted_factor():
+    # degrees 1000..6000, as in the census GCDs; c divides both by design
+    rng = random.Random(0xC0FAC)
+    for _ in range(30):
+        c = rng.getrandbits(rng.randrange(1, 501)) | 1 << rng.randrange(1, 501)
+        p, q = (rng.getrandbits(rng.randrange(1000, 5500)) for _ in range(2))
+        a, b = naive.int_mul(c, p), naive.int_mul(c, q)
+        g = poly_gcd(a, b)
+        assert g == naive.int_gcd(a, b)
+        assert naive.int_gcd(g, c) == c
+
+
+def test_gcd_edge_cases():
+    rng = random.Random(0xED6E)
+    for _ in range(20):
+        a, b = (rng.getrandbits(rng.randrange(1, 6000)) | 1 for _ in range(2))
+        assert poly_gcd(a, 0) == a
+        assert poly_gcd(0, b) == b
+        assert poly_gcd(a, a) == a
+        assert poly_gcd(1, b) == poly_gcd(b, 1) == 1
 
 
 def test_compose_x_plus_1_matches_oracle():
@@ -122,6 +144,20 @@ def test_halving_identities_match_the_direct_gcd_at_large_sides():
     for n in sides:
         assert nullity(n) == nullity_range(n, n)[0][1], n
     assert [nullity(n) for n in sides[-4:]] == [16384, 3070, 4094, 16382]
+
+
+def test_fast_block_matches_pointwise_nullity_to_6000():
+    assert _fast_block(5, 6000) == [(n, nullity(n)) for n in range(5, 6001, 12)]
+
+
+def test_fast_block_matches_pointwise_nullity_at_every_census_block_start():
+    # blocks start at 1 + 512j (1, 9 or 5 mod 12); the sides within 24 of
+    # each start, up to 25000, including those after 513 and 1025
+    for lo in range(1, 25001, 512):
+        first = lo + (5 - lo) % 12
+        hi = min(lo + 24, 25000)
+        assert _fast_block(first, hi) == [(n, nullity(n)) for n in range(first, hi + 1, 12)]
+    assert _fast_block(517, 516) == []  # the block [513, 516] holds no fast side
 
 
 def test_nullity_range_matches_the_x_domain_oracle():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lightsout import gf2poly, scan
 from lightsout.cli import main
 from lightsout.gf2poly import nullity
 from lightsout.scan import (
@@ -62,6 +63,21 @@ def test_fast_scan_records_match_the_full_scan_to_6000():
     expected = [r for r in scan_range(1, 6000) if r.n % 12 == 5]
     for workers in (1, 2):
         assert census(6000, fast=True, workers=workers)[0] == expected
+
+
+def test_census_routes_stay_independent(monkeypatch):
+    # fast blocks double once and step the recurrence, never nullity_range;
+    # full blocks resume one sweep from n = 1 and never double
+    def gone(*_):
+        raise AssertionError("crossed over to the other route")
+
+    full = scan_range(1, 1100)
+    fast = [r for r in full if r.n % 12 == 5]
+    monkeypatch.setattr(scan, "nullity_range", gone)
+    assert census(1100, fast=True, workers=1)[0] == fast
+    monkeypatch.undo()
+    monkeypatch.setattr(gf2poly, "_fib_pair_y", gone)
+    assert census(1100, workers=1)[0] == full
 
 
 def test_census_progress_after_every_block():
