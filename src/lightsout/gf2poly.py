@@ -36,7 +36,7 @@ from f_1 = (1, 0) and f_2 = (0, 1); ``<< 1`` multiplies by y.
 Two routes compute d(n); they share ``poly_gcd``, the lemma and the
 recurrence step above (``_y_sweep``). ``nullity_range`` takes one GCD
 for every side of a block, over one sweep of that recurrence from f_1;
-a full census block resumes the census's one sweep at its first side.
+a full census block (``_sweep_block``) resumes it at its first side.
 ``nullity`` uses the halving identities (Sutner, TCS 2000; Hunziker,
 Machiavelo & Park, TCS 2004), which follow from the doubling formulas
 f_{2k} = x*f_k^2 and f_{2k+1} = (f_k + f_{k+1})^2:
@@ -53,9 +53,10 @@ n = 5 (mod 12) takes one odd step, with 3 | (n+1)/2, to an even side:
 
     d(n) = 2 + 8*deg gcd(a, b),   m = (n-1)/4,
 
-one GCD of degree about n/8. The fast census (``_fast_block``) doubles
-once per block and then steps m -> m + 3 by three recurrence steps per
-side. The sweep never doubles and ``nullity`` never sweeps, which
+one GCD of degree about n/8. A fast census block (``_fast_block``) finds
+its first such side, doubles once, then steps m -> m + 3 by three
+recurrence steps a side. The sweep never doubles and ``nullity`` never
+sweeps, which
 ``test_fast_and_full_routes_stay_independent`` and
 ``test_census_routes_stay_independent`` check by patching one out.
 """
@@ -87,8 +88,8 @@ def _square(a: int) -> int:
     return int(format(a, "b"), 4)
 
 
-def _fib_pair_y(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(f_m, f_{m+1}) in y-form: each f as (A, B) with f = A(y) + x*B(y), y = x^2 + x.
+def _fib_pair_y(m: int) -> tuple[int, int, int, int]:
+    """``_y_sweep``'s state (A_m, B_m, A_{m+1}, B_{m+1}): f = A(y) + x*B(y), y = x^2 + x.
 
     Doubling from (f_0, f_1), one bit of m at a time, by f_{2k} = x*f_k^2
     and f_{2k+1} = (f_k + f_{k+1})^2, using x^2 = y + x; ``<< 1``
@@ -102,7 +103,7 @@ def _fib_pair_y(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
         sq = _square(eb)
         even = (sq << 1, _square(ea) ^ sq ^ (sq << 1))  # f_{2j} = x*f_j^2
         a, b = (odd, even) if bit == "1" else (even, odd)
-    return a, b
+    return (*a, *b)
 
 
 def nullity(n: int) -> int:
@@ -123,7 +124,7 @@ def nullity(n: int) -> int:
         scale *= 2
         n = m - 1
     if n:
-        (a_m, b_m), (a_m1, b_m1) = _fib_pair_y(n // 2)
+        a_m, b_m, a_m1, b_m1 = _fib_pair_y(n // 2)
         d += 4 * scale * (poly_gcd(a_m ^ a_m1, b_m ^ b_m1).bit_length() - 1)
     return d
 
@@ -159,11 +160,11 @@ def _sweep_block(lo: int, hi: int, include: Callable[[int], bool] | None,
             if include is None or include(n)]
 
 
-def _fast_block(first: int, hi: int) -> list[tuple[int, int]]:
-    """(n, d(n)) for n = first, first + 12, ... up to hi, every n = 5 (mod 12):
-    (f_m, f_{m+1}), m = (n - 1)/4, doubled once for the first side, then
-    three recurrence steps a side take m to m + 3."""
-    (a, b), (c, e) = _fib_pair_y((first - 1) // 4)
-    states = islice(_y_sweep(a, b, c, e), 0, None, 3)
+def _fast_block(lo: int, hi: int) -> list[tuple[int, int]]:
+    """(n, d(n)) for every n = 5 (mod 12) in [lo, hi]: (f_m, f_{m+1}),
+    m = (n - 1)/4, doubled once for the first side, then three recurrence
+    steps a side take m to m + 3."""
+    first = lo + (5 - lo) % 12
+    states = islice(_y_sweep(*_fib_pair_y((first - 1) // 4)), 0, None, 3)
     return [(n, 2 + 8 * (poly_gcd(a0 ^ a1, b0 ^ b1).bit_length() - 1))
             for n, (a0, b0, a1, b1) in zip(range(first, hi + 1, 12), states)]

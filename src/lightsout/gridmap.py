@@ -44,14 +44,36 @@ __all__ = [
     "format_pbm",
 ]
 
-NULLITY_CAP = 20  # all_solutions and min_clicks enumerate at most 2^20 solutions
+NULLITY_CAP = 20  # nothing here enumerates more than 2^20 solutions, covers or cell types
 
 
 class UnsolvableError(ValueError):
     """Raised when a light configuration is not in the image of the click map."""
 
 
-class CellSet:
+def _check_nullity(d: int) -> None:
+    """Refuse d > ``NULLITY_CAP`` before anything with 2^d entries is built."""
+    if d > NULLITY_CAP:
+        raise ValueError(f"nullity {d} exceeds the enumeration cap {NULLITY_CAP}")
+
+
+class _Frozen:
+    """Refuses assignment after ``__init__``: cached values are shared by every caller.
+
+    A subclass sets its slots, in ``__init__``'s argument order, with
+    ``object.__setattr__``; copies and pickles are rebuilt through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
+
+
+class CellSet(_Frozen):
     """Immutable set of cells on an n-by-n grid, stored as a row-major bitset."""
 
     __slots__ = ("n", "bits")
@@ -61,8 +83,8 @@ class CellSet:
             raise ValueError("grid side length must be >= 1")
         if bits < 0 or bits >> (n * n):
             raise ValueError(f"bits outside the {n}x{n} grid")
-        self.n = n
-        self.bits = bits
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def empty(cls, n: int) -> CellSet:
@@ -98,7 +120,7 @@ class CellSet:
         return format_pattern(self)
 
 
-class KernelBasis:
+class KernelBasis(_Frozen):
     """Canonical basis of the click map's kernel for an n-by-n grid.
 
     Basis vectors are in reduced row-echelon form over the row-major cell
@@ -112,9 +134,6 @@ class KernelBasis:
     def __init__(self, n: int, basis: tuple[CellSet, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"KernelBasis is immutable: cannot set {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KernelBasis):
@@ -134,18 +153,20 @@ class KernelBasis:
         return iter(self.basis)
 
     def span_nonzero(self) -> list[CellSet]:
-        """All 2^d - 1 nonzero kernel elements (d must be small)."""
+        """All 2^d - 1 nonzero kernel elements; refused above ``NULLITY_CAP``."""
+        _check_nullity(len(self.basis))
         vals = [0]
         for b in self.basis:
             vals += [v ^ b.bits for v in vals]
         return [CellSet(self.n, v) for v in vals[1:]]
 
     def cell_types(self) -> list[int]:
-        """The 2^d cell masks by type (d must be small).
+        """The 2^d cell masks by type; refused above ``NULLITY_CAP``.
 
         Entry t holds the cells that lie in basis vector j exactly when
         bit j of t is set; entry 0 is the cells no kernel element touches.
         """
+        _check_nullity(len(self.basis))
         types = [(1 << self.n * self.n) - 1]
         for b in self.basis:
             types = [m & ~b.bits for m in types] + [m & b.bits for m in types]
@@ -296,9 +317,7 @@ def _coset(config: CellSet) -> Iterator[int]:
     Solves first, then refuses d > ``NULLITY_CAP`` before chasing the kernel.
     """
     cur = solve_particular(config).bits
-    d = len(_residual_matrix(config.n)[1])
-    if d > NULLITY_CAP:
-        raise ValueError(f"nullity {d} exceeds the enumeration cap {NULLITY_CAP}")
+    _check_nullity(len(_residual_matrix(config.n)[1]))
     flips: list[int] = []  # step i of a Gray code flips basis vector (trailing zeros of i)
     for e in kernel_basis(config.n):
         flips += [e.bits] + flips

@@ -138,7 +138,8 @@ def _json_int(value) -> int:
 
 
 def _pattern_or_none(value) -> CellSet | None:
-    return parse_pattern(value) if value else None
+    """JSON ``null`` is no pattern; anything else must be a pattern string."""
+    return None if value is None else parse_pattern(value)
 
 
 class McpCertificate(NamedTuple):

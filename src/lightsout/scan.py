@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 512
-FAST_RESIDUE = (12, 5)
 
 
 class ScanRecord(NamedTuple):
@@ -50,14 +49,6 @@ class ScanRecord(NamedTuple):
 
     n: int
     nullity: int
-
-
-def _scan_block(task: tuple[int, int, tuple | None]) -> list[tuple[int, int]]:
-    lo, hi, state = task
-    if state:  # full mode: the y-forms of (f_lo, f_{lo+1}) from the parent's sweep
-        return _sweep_block(lo, hi, None, state)
-    modulus, value = FAST_RESIDUE
-    return _fast_block(lo + (value - lo) % modulus, hi)
 
 
 def scan_range(n_min: int, n_max: int) -> list[ScanRecord]:
@@ -76,22 +67,23 @@ def census(
 ) -> tuple[list[ScanRecord], "CongruenceReport"]:
     """Scan sides 1..n_max in blocks of ``BLOCK_SIZE`` and audit the congruence.
 
-    ``fast`` computes only the sides n = 5 (mod 12) of ``FAST_RESIDUE``,
-    where the halving identities place every four-element kernel; the
-    full mode scans every side. Blocks run on up to ``workers`` processes
-    (default: one per CPU), never more than there are blocks. ``progress``
-    is called with (sides done, sides total) after every block, in order
-    of n. The records are sorted by n regardless of worker count.
+    ``fast`` computes only the sides n = 5 (mod 12), where the halving
+    identities place every four-element kernel; the full mode scans every
+    side. Blocks run on up to ``workers`` processes (default: one per
+    CPU), never more than there are blocks. ``progress`` is called with
+    (sides done, sides total) after every block, in order of n. The
+    records are sorted by n regardless of worker count.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if workers is None:
         workers = os.cpu_count() or 1
     starts = range(1, n_max + 1, BLOCK_SIZE)
-    # one recurrence sweep to n_max gives each full block its (f_lo, f_{lo+1})
-    states = repeat(None) if fast else islice(_y_sweep(), 0, n_max, BLOCK_SIZE)
-    tasks = [(lo, min(lo + BLOCK_SIZE - 1, n_max), st) for lo, st in zip(starts, states)]
-    workers = min(workers, len(tasks))  # a pool starts all its workers at once
+    ends = [min(lo + BLOCK_SIZE - 1, n_max) for lo in starts]
+    # a full block resumes one recurrence sweep to n_max at its (f_lo, f_{lo+1})
+    tasks = ((_fast_block, starts, ends) if fast else
+             (_sweep_block, starts, ends, repeat(None), islice(_y_sweep(), 0, n_max, BLOCK_SIZE)))
+    workers = min(workers, len(starts))  # a pool starts all its workers at once
     records: list[ScanRecord] = []
     with contextlib.ExitStack() as stack:
         mapper = map
@@ -99,7 +91,7 @@ def census(
             from concurrent.futures import ProcessPoolExecutor  # ~20 ms, so only for a pool
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for (_, hi, _), pairs in zip(tasks, mapper(_scan_block, tasks)):
+        for hi, pairs in zip(ends, mapper(*tasks)):
             records += [ScanRecord(n, d) for n, d in pairs]
             if progress is not None:
                 progress(hi, n_max)
@@ -130,10 +122,9 @@ class CongruenceReport(NamedTuple):
 
 def verify_congruences(records: Iterable[ScanRecord]) -> CongruenceReport:
     """Check n = 5 (mod 12), so also n odd and n = 5 (mod 6), at every d = 2 record."""
-    modulus, value = FAST_RESIDUE
     twos = [rec for rec in records if rec.nullity == 2]
     return CongruenceReport(checked=len(twos),
-                            violations=tuple(r for r in twos if r.n % modulus != value))
+                            violations=tuple(r for r in twos if r.n % 12 != 5))
 
 
 class ConjectureEntry(NamedTuple):

@@ -104,7 +104,8 @@ def test_y_form_doubling_gives_the_fibonacci_polynomials():
     # (A, B) stands for A(y) + x*B(y) with y = x^2 + x; f_0 = 0
     fibs = naive.int_fib_sweep(4098)
     for m in [*range(301), 1000, 2047, 2048, 4097]:
-        for k, (a, b) in zip((m, m + 1), _fib_pair_y(m)):
+        a0, b0, a1, b1 = _fib_pair_y(m)
+        for k, a, b in [(m, a0, b0), (m + 1, a1, b1)]:
             got = naive.int_compose(a, 0b110) ^ (naive.int_compose(b, 0b110) << 1)
             assert got == fibs[k], k
 
@@ -151,13 +152,14 @@ def test_fast_block_matches_pointwise_nullity_to_6000():
 
 
 def test_fast_block_matches_pointwise_nullity_at_every_census_block_start():
-    # blocks start at 1 + 512j (1, 9 or 5 mod 12); the sides within 24 of
-    # each start, up to 25000, including those after 513 and 1025
-    for lo in range(1, 25001, 512):
-        first = lo + (5 - lo) % 12
+    # census blocks start at 1 + 512j (1, 9 or 5 mod 12), and lo = 1..12 is
+    # every residue; each block finds its own first side, so the expected
+    # sides within 24 of lo, up to 25000, come from a plain filter
+    for lo in [*range(1, 25001, 512), *range(1, 13)]:
         hi = min(lo + 24, 25000)
-        assert _fast_block(first, hi) == [(n, nullity(n)) for n in range(first, hi + 1, 12)]
-    assert _fast_block(517, 516) == []  # the block [513, 516] holds no fast side
+        expected = [(n, nullity(n)) for n in range(lo, hi + 1) if n % 12 == 5]
+        assert _fast_block(lo, hi) == expected, lo
+    assert _fast_block(513, 516) == []  # the block [513, 516] holds no fast side
 
 
 def test_nullity_range_matches_the_x_domain_oracle():

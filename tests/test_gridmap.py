@@ -1,5 +1,7 @@
 """Grid layer: cell sets, the click map, kernels, solving, pattern I/O."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from lightsout import gridmap
 from lightsout.gridmap import (
     CellSet,
+    KernelBasis,
     UnsolvableError,
     all_solutions,
     apply_clicks,
@@ -66,6 +69,17 @@ def test_cellset_bool_and_repr():
     assert not CellSet.empty(5)
     assert CellSet.full(1)
     assert "CellSet" in repr(CellSet.empty(2))
+
+
+def test_cellset_refuses_assignment_so_the_cached_kernel_survives():
+    # kernel_basis(5) is cached, so its vectors are shared by every caller
+    before = [(e.n, e.bits) for e in kernel_basis(5)]
+    for field in ("bits", "n"):
+        with pytest.raises(AttributeError, match="CellSet is immutable"):
+            setattr(kernel_basis(5).basis[0], field, 0)
+    assert [(e.n, e.bits) for e in kernel_basis(5)] == before
+    cs, kb = kernel_basis(5).basis[0], kernel_basis(5)
+    assert pickle.loads(pickle.dumps(cs)) == cs and copy.copy(kb) == kb
 
 
 # -- neighborhoods and the click map -------------------------------------------
@@ -270,6 +284,21 @@ def test_nullity_cap_refuses_big_kernels(monkeypatch):
         min_clicks(config)
     with pytest.raises(UnsolvableError):  # solving still comes first
         min_clicks(CellSet(39, 1))
+
+
+class _Unread(tuple):
+    """A basis whose vectors cannot be read, only counted."""
+
+    def __iter__(self):
+        raise AssertionError("basis read before the cap was checked")
+
+
+def test_span_and_cell_types_refuse_big_kernels_before_allocating():
+    kb = kernel_basis(39)  # nullity 32: 2^32 entries, over the cap of 20
+    unread = KernelBasis(39, _Unread(kb.basis))
+    for enumerate_all in (unread.span_nonzero, unread.cell_types):
+        with pytest.raises(ValueError, match="nullity 32 exceeds the enumeration cap 20"):
+            enumerate_all()
 
 
 def test_solving_never_builds_the_kernel(monkeypatch):

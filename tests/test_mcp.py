@@ -222,6 +222,12 @@ def _k1_doc(**changes):
         pytest.param(_k1_doc(k=1.9), "'k' is malformed", id="k-float"),
         pytest.param(_k1_doc(k="1"), "'k' is malformed", id="k-digit-text"),
         pytest.param(_k1_doc(k=True), "'k' is malformed", id="k-bool"),
+        # only JSON null means "no pattern"
+        pytest.param(_k1_doc(witness=False), "'witness' is malformed", id="witness-false"),
+        pytest.param(_k1_doc(witness=0), "'witness' is malformed", id="witness-zero"),
+        pytest.param(_k1_doc(witness=""), "'witness' is malformed", id="witness-empty-text"),
+        pytest.param(_k1_doc(worst_config=[]), "'worst_config' is malformed",
+                     id="config-empty-list"),
     ],
 )
 def test_from_json_rejects_malformed_input(text, message):

@@ -51,7 +51,7 @@ def test_census_residue_filter():
 
 def test_fast_scan_equals_the_filtered_full_scan_at_every_edge():
     # blocks start at 1 + 512j, so at 1, 9 or 5 mod 12: n_max past 512 and
-    # 1024 reaches the starts 513 and 1025 and _scan_block's first-side offset
+    # 1024 reaches the starts 513 and 1025 and _fast_block's first-side offset
     full = scan_range(1, 1100)
     for n_max in [*range(1, 61), 511, 512, 513, 1024, 1025, 1100]:
         expected = [r for r in full if r.n <= n_max and r.n % 12 == 5]
@@ -95,11 +95,12 @@ def test_census_parallel_matches_serial():
 
 
 def test_scan_pool_is_no_larger_than_its_blocks(pool_sizes):
-    records, _ = census(1100, workers=64)
-    assert records == scan_range(1, 1100)
-    assert pool_sizes == [3]  # three blocks of at most 512 sides
+    full = scan_range(1, 1100)
+    assert census(1100, workers=64)[0] == full
+    assert census(1100, fast=True, workers=64)[0] == [r for r in full if r.n % 12 == 5]
+    assert pool_sizes == [3, 3]  # three blocks of at most 512 sides
     census(512, workers=64)  # one block runs in-process
-    assert pool_sizes == [3]
+    assert pool_sizes == [3, 3]
 
 
 def test_census_fast_agrees_with_full_under_500():
