@@ -231,7 +231,8 @@ def _build_parser() -> _Parser:
                         "d(n) is always even and every d = 2 side is 5 mod 12, "
                         "so the d = 2 count is exact")
     p.add_argument("--out", help="write records here as CSV")
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker processes (default: the CPUs this process may run on)")
     p.set_defaults(func=_cmd_scan)
 
     return parser

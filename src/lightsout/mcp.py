@@ -167,14 +167,16 @@ class McpCertificate(NamedTuple):
     def to_json(self) -> str:
         import json
 
+        worst, witness = (None if cells is None else format_pattern(cells)
+                          for cells in (self.worst_config, self.witness))
         doc = {
             "k": self.k,
             "n": self.n,
             "nullity": self.nullity,
             "claimed_min": self.claimed_min,
             "certified": self.certified,
-            "worst_config": format_pattern(self.worst_config) if self.worst_config else None,
-            "witness": format_pattern(self.witness) if self.witness else None,
+            "worst_config": worst,
+            "witness": witness,
         }
         return json.dumps(doc, indent=2) + "\n"
 

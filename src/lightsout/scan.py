@@ -15,16 +15,17 @@ It is the ground truth the fast mode is checked against. Both take
 their GCDs over GF(2)[x^2 + x]; the congruence audit checks both.
 
 ``census`` scans 1..n_max in blocks of sides, optionally across worker
-processes; ``scan_range`` is one direct sweep over any range. Results are
-plain (n, nullity) records, written and read back as CSV, plus small report
-objects for the congruence check and the d(2*3^k - 1) = 2 conjecture.
+processes forked from the caller and handed one block at a time, with
+no process pool; ``scan_range`` is one direct sweep over any range.
+Results are plain (n, nullity) records, written and read back as CSV,
+plus small report objects for the congruence check and the
+d(2*3^k - 1) = 2 conjecture.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gf2poly import _fast_block, _sweep_block, _y_sweep, nullity, nullity_range
@@ -69,32 +70,41 @@ def census(
 
     ``fast`` computes only the sides n = 5 (mod 12), where the halving
     identities place every four-element kernel; the full mode scans every
-    side. Blocks run on up to ``workers`` processes (default: one per
-    CPU), never more than there are blocks. ``progress`` is called with
-    (sides done, sides total) after every block, in order of n. The
+    side. Blocks run on up to ``workers`` forked processes (default: one
+    per CPU this process may run on), never more than there are blocks;
+    without ``os.fork`` they run in this process. ``progress`` is called
+    with (sides done, sides total) after every block, in order of n. The
     records are sorted by n regardless of worker count.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if not hasattr(os, "fork"):
+        workers = 1
     starts = range(1, n_max + 1, BLOCK_SIZE)
     ends = [min(lo + BLOCK_SIZE - 1, n_max) for lo in starts]
     # a full block resumes one recurrence sweep to n_max at its (f_lo, f_{lo+1})
-    tasks = ((_fast_block, starts, ends) if fast else
-             (_sweep_block, starts, ends, repeat(None), islice(_y_sweep(), 0, n_max, BLOCK_SIZE)))
-    workers = min(workers, len(starts))  # a pool starts all its workers at once
-    records: list[ScanRecord] = []
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # ~20 ms, so only for a pool
+    fn, tasks = ((_fast_block, zip(starts, ends)) if fast else
+                 (_sweep_block, zip(starts, ends, repeat(None),
+                                    islice(_y_sweep(), 0, n_max, BLOCK_SIZE))))
+    workers = min(workers, len(starts))  # every worker is forked up front
+    if workers == 1:
+        blocks = starmap(fn, tasks)
+    else:
+        from ._forkmap import forked_map  # loaded only by a census that forks
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for hi, pairs in zip(ends, mapper(*tasks)):
+        blocks = forked_map(fn, tasks, workers)
+    records: list[ScanRecord] = []
+    try:
+        for hi, pairs in zip(ends, blocks):
             records += [ScanRecord(n, d) for n, d in pairs]
             if progress is not None:
                 progress(hi, n_max)
+    finally:
+        if workers > 1:
+            blocks.close()  # its children are reaped before census returns or raises
     return records, verify_congruences(records)
 
 

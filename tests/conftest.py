@@ -1,13 +1,15 @@
 """Shared test settings and fixtures.
 
 Hypothesis draws the same examples on every run, and ``pool_sizes`` lets a
-test see how large a process pool ``census`` would start without starting
-one.
+test see how many worker processes ``census`` would fork without forking
+any.
 """
 
-import concurrent.futures
+from itertools import starmap
 
 import pytest
+
+from lightsout import _forkmap
 
 try:
     from hypothesis import settings
@@ -20,25 +22,16 @@ else:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Swap the process pool ``census`` imports for an in-process stub.
+    """Swap the forking map ``census`` uses for an in-process stub.
 
-    Returns the list of ``max_workers`` each pool was created with, one
+    Returns the list of ``workers`` each forking map was asked for, one
     entry per census that ran two or more blocks on two or more workers.
     """
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_map(fn, tasks, workers):
+        sizes.append(workers)
+        return (result for result in starmap(fn, tasks))  # a generator, as census closes it
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_forkmap, "forked_map", recording_map)
     return sizes

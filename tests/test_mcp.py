@@ -173,6 +173,16 @@ def test_certificate_json_round_trip():
         assert McpCertificate.from_json(cert.to_json()) == cert
 
 
+def test_an_empty_witness_round_trips_as_a_pattern_not_null():
+    # an empty CellSet is falsy, but it is a pattern, not a missing one
+    doc = json.loads(worst_case_construct(1).to_json())
+    doc["witness"] = doc["worst_config"] = ".....\n" * 5
+    cert = McpCertificate.from_json(json.dumps(doc))
+    assert cert.witness == cert.worst_config == CellSet(5, 0)
+    assert json.loads(cert.to_json()) == {**doc, "certified": False}  # it certifies nothing
+    assert McpCertificate.from_json(cert.to_json()) == cert
+
+
 def test_certificate_json_shape():
     doc = json.loads(worst_case_construct(1).to_json())
     assert doc["certified"] is True

@@ -1,8 +1,12 @@
 """Census machinery: the block census, direct sweeps, reports, persistence."""
 
+import os
+import signal
+from itertools import starmap
+
 import pytest
 
-from lightsout import gf2poly, scan
+from lightsout import _forkmap, gf2poly, scan
 from lightsout.cli import main
 from lightsout.gf2poly import nullity
 from lightsout.scan import (
@@ -101,6 +105,76 @@ def test_scan_pool_is_no_larger_than_its_blocks(pool_sizes):
     assert pool_sizes == [3, 3]  # three blocks of at most 512 sides
     census(512, workers=64)  # one block runs in-process
     assert pool_sizes == [3, 3]
+
+
+def test_census_defaults_to_the_cpus_it_may_run_on(monkeypatch, pool_sizes):
+    full = scan_range(1, 1100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert census(1100)[0] == full  # one allowed CPU: nothing forked
+    assert pool_sizes == []
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert census(1100)[0] == full
+    assert pool_sizes == [3]
+
+
+def test_census_without_fork_runs_in_process(monkeypatch, pool_sizes):
+    monkeypatch.delattr(os, "fork")
+    assert census(1100, workers=2)[0] == scan_range(1, 1100)
+    assert pool_sizes == []
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test still running after 60 s, as a hung worker pipe would, instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)  # a forked child inherits no alarm
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_block_that_raises_in_a_worker_raises_and_leaves_no_child(monkeypatch, capfd, deadline):
+    def fails_at_513(lo, hi):
+        if lo == 513:
+            raise ValueError("no such block")
+        return gf2poly._fast_block(lo, hi)
+
+    monkeypatch.setattr(scan, "_fast_block", fails_at_513)
+    with pytest.raises(RuntimeError, match="block 1"):
+        census(1100, fast=True, workers=2)
+    _assert_no_child_left()
+    assert "ValueError: no such block" in capfd.readouterr().err
+
+
+def test_a_progress_callback_that_raises_leaves_no_child(deadline):
+    class Stop(Exception):
+        pass
+
+    def stop(done, total):
+        raise Stop
+
+    with pytest.raises(Stop):
+        census(1100, workers=2, progress=stop)  # two blocks still held by workers
+    _assert_no_child_left()
+
+
+def test_forked_map_equals_map_past_a_full_pipe(deadline):
+    # 20000 four-byte indices overfill a 64 KiB pipe, and each 100 kB
+    # result overfills one too, so neither side may wait on the other
+    tasks = [(i,) for i in range(20000)]
+    assert list(_forkmap.forked_map(abs, tasks, 2)) == list(starmap(abs, tasks))
+    big = [(100_000,)] * 3
+    assert list(_forkmap.forked_map(bytes, big, 2)) == [bytes(100_000)] * 3
+    _assert_no_child_left()
 
 
 def test_census_fast_agrees_with_full_under_500():

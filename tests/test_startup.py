@@ -1,9 +1,12 @@
 """Start-up: importing the package loads only what importing it needs.
 
-The process pool, ``json`` and ``csv`` are imported by the functions that
-use them, and no class is a dataclass, so a command that needs none of
-them pays none of their import time. Each check runs in a fresh
-``python -S`` interpreter, where no site hook has loaded anything first.
+``json`` and ``csv`` are imported by the functions that use them, no
+class is a dataclass, and the census loads its forking map only when it
+forks, with ``os``, ``select`` and ``marshal`` alone, so neither
+importing the package nor any scan loads a process pool
+(``concurrent.futures`` or ``multiprocessing``). Each check runs in a
+fresh ``python -S`` interpreter, where no site hook has loaded anything
+first.
 """
 
 import subprocess
@@ -11,7 +14,8 @@ import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-DEFERRED = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "json", "csv")
+DEFERRED = ("concurrent.futures", "multiprocessing", "lightsout._forkmap",
+            "dataclasses", "inspect", "json", "csv")
 
 
 def _loaded_after(code: str) -> list[str]:
@@ -31,3 +35,8 @@ def test_import_loads_no_pool_dataclasses_json_or_csv():
 def test_a_one_block_scan_imports_no_pool():
     loaded = _loaded_after("from lightsout import cli; cli.main(['scan', '100', '--workers', '2'])")
     assert "concurrent.futures" not in loaded
+
+
+def test_a_forked_scan_imports_no_pool():
+    loaded = _loaded_after("from lightsout import cli; cli.main(['scan', '1100', '--workers', '2'])")
+    assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
