@@ -15,6 +15,7 @@ which the mcp module's worst-case construction reads directly.
 
 from __future__ import annotations
 
+from .gf2poly import nullity
 from .gridmap import CellSet, apply_clicks, kernel_basis
 
 __all__ = [
@@ -77,13 +78,13 @@ def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = 6 * k - 1
-    kb = kernel_basis(n)
-    if len(kb) != 2:
+    d = nullity(n)
+    if d != 2:
         raise ValueError(
-            f"{n}x{n} grid has nullity {len(kb)}, not 2; "
+            f"{n}x{n} grid has nullity {d}, not 2; "
             "the four-region partition is undefined"
         )
-    r4, *pairs = kb.cell_types()
+    r4, *pairs = kernel_basis(n).cell_types()
     pairs.sort(key=lambda r: (r.bit_count(), r & -r))
     if [r.bit_count() for r in pairs] != [4 * k * k, 8 * k * k, 8 * k * k]:
         raise ValueError("cover intersections do not match the 4k^2 and 8k^2 region sizes")

@@ -25,13 +25,12 @@ solutions clear on every kernel leading cell.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import xor
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "CellSet",
-    "KernelBasis",
     "UnsolvableError",
     "apply_clicks",
     "kernel_basis",
@@ -153,12 +152,9 @@ class KernelBasis(_Frozen):
         return iter(self.basis)
 
     def span_nonzero(self) -> list[CellSet]:
-        """All 2^d - 1 nonzero kernel elements; refused above ``NULLITY_CAP``."""
+        """The 2^d - 1 nonzero kernel elements, Gray-code order; refused above ``NULLITY_CAP``."""
         _check_nullity(len(self.basis))
-        vals = [0]
-        for b in self.basis:
-            vals += [v ^ b.bits for v in vals]
-        return [CellSet(self.n, v) for v in vals[1:]]
+        return [CellSet(self.n, v) for v in islice(_span(self.basis, 0), 1, None)]
 
     def cell_types(self) -> list[int]:
         """The 2^d cell masks by type; refused above ``NULLITY_CAP``.
@@ -283,6 +279,8 @@ def kernel_basis(n: int) -> KernelBasis:
     chasing is linear: the reduced null first rows chase to the
     kernel's unique reduced row-echelon basis, sorted by leading cell.
     """
+    if n < 1:
+        raise ValueError("grid side length must be >= 1")
     return KernelBasis(n, tuple(CellSet(n, _chase(n, 0, t)[0]) for t in _residual_matrix(n)[1]))
 
 
@@ -311,6 +309,14 @@ def solve_particular(config: CellSet) -> CellSet:
     return CellSet(config.n, _chase(config.n, config.bits, top)[0])
 
 
+def _span(basis: Iterable[CellSet], start: int) -> Iterator[int]:
+    """``start ^ e`` for every e in the span of ``basis``, by Gray code; callers cap d."""
+    flips: list[int] = []  # step i of a Gray code flips basis vector (trailing zeros of i)
+    for e in basis:
+        flips += [e.bits] + flips
+    return accumulate(flips, xor, initial=start)
+
+
 def _coset(config: CellSet) -> Iterator[int]:
     """Every solution of ``config`` by Gray code from the canonical one.
 
@@ -318,10 +324,7 @@ def _coset(config: CellSet) -> Iterator[int]:
     """
     cur = solve_particular(config).bits
     _check_nullity(len(_residual_matrix(config.n)[1]))
-    flips: list[int] = []  # step i of a Gray code flips basis vector (trailing zeros of i)
-    for e in kernel_basis(config.n):
-        flips += [e.bits] + flips
-    return accumulate(flips, xor, initial=cur)
+    return _span(kernel_basis(config.n), cur)
 
 
 def all_solutions(config: CellSet) -> list[CellSet]:

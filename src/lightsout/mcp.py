@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .gf2poly import nullity
 from .gridmap import (
     CellSet,
+    _span,
     apply_clicks,
     format_pattern,
     kernel_basis,
@@ -90,7 +91,7 @@ def mcp_bruteforce(n: int) -> tuple[int, CellSet]:
             f"{BUDGET_BITS} bits"
         )
     kb = kernel_basis(n)
-    members = [0] + [e.bits for e in kb.span_nonzero()]
+    members = list(_span(kb, 0))
     pivots = 0
     for e in kb.basis:
         pivots |= e.bits & -e.bits
@@ -220,23 +221,23 @@ def worst_case_construct(k: int) -> McpCertificate:
     The witness, all of type 0 and the first half of each nonzero type in
     row-major order, attains it: every solution of its image has exactly
     that weight. If the nullity is not 2 the bound still holds but the
-    certificate is non-certifying.
+    certificate is non-certifying, and no kernel is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = 6 * k - 1
     bound = mcp_formula(k)
-    kb = kernel_basis(n)
-    if len(kb) != 2:
+    d = nullity(n)
+    if d != 2:
         return McpCertificate(
             k=k,
             n=n,
-            nullity=len(kb),
+            nullity=d,
             claimed_min=bound,
             worst_config=None,
             witness=None,
         )
-    x, *nonzero = kb.cell_types()
+    x, *nonzero = kernel_basis(n).cell_types()
     for t in nonzero:
         x |= _lowest_bits(t, t.bit_count() // 2)
     witness = CellSet(n, x)
@@ -262,20 +263,17 @@ def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> 
     """
     if cert.k < 1 or cert.claimed_min != mcp_formula(cert.k) or cert.n != 6 * cert.k - 1:
         return False
-    kb = kernel_basis(cert.n)
-    if cert.nullity != len(kb):
+    if cert.nullity != nullity(cert.n):
         return False
-    if len(kb) != 2 or cert.witness is None or cert.worst_config is None:
+    if cert.nullity != 2 or cert.witness is None or cert.worst_config is None:
         return cert.witness is None and cert.worst_config is None
     if cert.witness.n != cert.n or cert.worst_config.n != cert.n:
         return False
-    if len(cert.witness) != cert.claimed_min:
-        return False
     if apply_clicks(cert.witness) != cert.worst_config:
         return False
-    x = cert.witness.bits
-    wx = x.bit_count()
-    if not all((x ^ e.bits).bit_count() == wx for e in kb.span_nonzero()):
+    # the walk starts at the witness: it and its three kernel translates weigh the claim
+    span = _span(kernel_basis(cert.n), cert.witness.bits)
+    if any(x.bit_count() != cert.claimed_min for x in span):
         return False
     if check_min_clicks:
         count, _ = min_clicks(cert.worst_config)

@@ -31,10 +31,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .gf2poly import _fast_block, _sweep_block, _y_sweep, nullity, nullity_range
 
 __all__ = [
-    "ScanRecord",
-    "CongruenceReport",
-    "ConjectureEntry",
-    "ConjectureReport",
     "scan_range",
     "census",
     "check_conjecture_2_3k",
@@ -81,6 +77,8 @@ def census(
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     if not hasattr(os, "fork"):
         workers = 1
     starts = range(1, n_max + 1, BLOCK_SIZE)

@@ -153,6 +153,12 @@ def test_kernel_basis_is_reduced_and_sorted():
             assert all(other.bits & low == 0 for other in basis if other is not e)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_kernel_basis_rejects_nonpositive_sides(n):
+    with pytest.raises(ValueError, match="grid side length must be >= 1"):
+        kernel_basis(n)
+
+
 def test_kernel_basis_cached_identity():
     assert kernel_basis(17) is kernel_basis(17)
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lightsout import mcp
+from lightsout import covers, mcp
 from lightsout.gridmap import CellSet, apply_clicks, kernel_basis, min_clicks
 from lightsout.mcp import (
     McpCertificate,
@@ -144,6 +144,51 @@ def test_witness_is_half_of_each_nonzero_type_and_all_of_type_0(k):
     for t in nonzero:
         assert 2 * (x & t).bit_count() == t.bit_count()
     assert x.bit_count() == mcp_formula(k)
+
+
+# sha256 of worst_case_construct(k).to_json() on the upper-bound sides
+# (nullity 6, 14, 10, 6), recorded while d still came from the kernel basis
+UPPER_BOUND_SHA256 = {
+    2: "3a2f8b4b8ba058981cefb57d104c8608beaa60da9768f29277bf8bf3b475b217",
+    4: "4df71374429a10a37a48ff3afdea5fbe1ca3e1cebce59c587158cad9df3b9d85",
+    5: "3adf9b764b59653fc23196f60de4942a2d2b5faea67f2d42f4105db5f6229424",
+    6: "d901e57ceda02bf2b80207beddad85489c703c3424c434105cb267ed53422bbf",
+}
+
+
+@pytest.mark.parametrize("k", sorted(UPPER_BOUND_SHA256))
+def test_upper_bound_certificate_json_is_pinned(k):
+    text = worst_case_construct(k).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == UPPER_BOUND_SHA256[k]
+
+
+UPPER_BOUND_K2 = McpCertificate(k=2, n=11, nullity=6, claimed_min=81,
+                                worst_config=None, witness=None)
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fail any kernel_basis call from mcp or covers: d comes from nullity alone."""
+    def refuse(n):
+        raise AssertionError(f"kernel_basis({n}) built on a side whose nullity is not 2")
+
+    monkeypatch.setattr(mcp, "kernel_basis", refuse)
+    monkeypatch.setattr(covers, "kernel_basis", refuse)
+
+
+def test_upper_bound_certificate_builds_no_kernel(no_kernel):
+    assert worst_case_construct(2) == UPPER_BOUND_K2
+
+
+@pytest.mark.parametrize("check_min_clicks", [False, True])
+def test_upper_bound_certificate_verifies_without_a_kernel(no_kernel, check_min_clicks):
+    assert verify_certificate(UPPER_BOUND_K2, check_min_clicks=check_min_clicks)
+
+
+def test_region_partition_refuses_other_nullities_without_a_kernel(no_kernel):
+    with pytest.raises(ValueError, match=r"^11x11 grid has nullity 6, not 2; "
+                                         r"the four-region partition is undefined$"):
+        covers.region_partition(2)
 
 
 def test_certificate_k3():

@@ -92,6 +92,18 @@ def test_census_progress_after_every_block():
         assert seen == [(512, 1100), (1024, 1100), (1100, 1100)]
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_census_refuses_fewer_than_one_worker(workers, deadline, monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a block ran before the worker count was checked")
+
+    monkeypatch.setattr(scan, "_sweep_block", no_block)
+    monkeypatch.setattr(scan, "_fast_block", no_block)
+    for fast in (False, True):
+        with pytest.raises(ValueError, match="need workers >= 1"):
+            census(1100, fast=fast, workers=workers)
+
+
 def test_census_parallel_matches_serial():
     serial = census(1300, workers=1)  # three 512-side blocks
     parallel = census(1300, workers=2)

@@ -1,26 +1,27 @@
-"""The public surface: which parameters a caller can leave out, and values.
+"""The public surface: its names, which parameters a caller can leave out, and values.
 
-A defaulted parameter is a setting; every one should have a caller that
-sets it. This list pins the whole set, so adding one is a visible choice.
-The record and report classes are immutable values: equal fields make
-equal, equally hashed objects.
+A public name stays public only if the CLI, the benchmark or the
+acceptance checklist reads it. A defaulted parameter is a setting; every
+one should have a caller that sets it. This list pins the whole set, so
+adding one is a visible choice. The record and report classes are
+immutable values: equal fields make equal, equally hashed objects.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import lightsout
-from lightsout import (
-    CongruenceReport,
-    ConjectureEntry,
-    ConjectureReport,
-    KernelBasis,
-    McpCertificate,
-    ScanRecord,
-    worst_case_construct,
-)
+from lightsout import McpCertificate, worst_case_construct
 from lightsout.cli import main
+from lightsout.gridmap import KernelBasis
+from lightsout.scan import CongruenceReport, ConjectureEntry, ConjectureReport, ScanRecord
+
+ROOT = Path(__file__).resolve().parents[1]
+READERS = [ROOT / "src" / "lightsout" / "cli.py", *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
 
 DEFAULTED = {
     ("nullity_range", "include"),
@@ -51,6 +52,11 @@ def test_defaulted_parameters_are_exactly_the_settings():
         if param.default is not param.empty
     ]
     assert sorted(found) == sorted(DEFAULTED)
+
+
+def test_every_public_name_has_a_reader():
+    words = set(re.findall(r"\w+", "".join(path.read_text(encoding="utf-8") for path in READERS)))
+    assert [name for name in lightsout.__all__ if name not in words] == []
 
 
 def test_scan_has_no_jsonl_flag(capsys):
