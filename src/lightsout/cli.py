@@ -91,8 +91,8 @@ def _cmd_mcp(args) -> int:
         if args.out is not None:
             raise ValueError("--out needs --certify")
         n = args.n if args.n is not None else 6 * args.k - 1
-        value, _ = mcp.mcp_bruteforce(n)
-        print(value)
+        # an empty kernel leaves one click set a coset: the answer is n^2, no image needed
+        print(n * n if nullity(n) == 0 else mcp.mcp_bruteforce(n)[0])
         return 0
     if args.k is not None:
         k = args.k

@@ -14,14 +14,17 @@ a certificate that the bound is attained, trusted only once
 An exhaustive oracle is included for small boards: the solvable
 configurations correspond one-to-one to canonical coset representatives
 of the kernel in click space, and the MCP is the max over cosets of the
-min member weight. The weight of a click set against every kernel member
-depends only on a profile of running counts, so a dynamic program over
-cells keeps one representative per profile: at most a few thousand
-states, where a scan would visit 2^(n^2 - d) representatives.
+min member weight. A representative's weights against the kernel members
+form a profile, one byte a member, that each set cell shifts by a fixed
+delta and each clear cell leaves alone. So the search is a union of sets
+of profiles per free cell, at most a few thousand states, where a scan
+would visit 2^(n^2 - d) representatives; two more passes over the stored
+sets recover the lex-smallest worst representative.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .gf2poly import nullity
@@ -31,7 +34,6 @@ from .gridmap import (
     apply_clicks,
     format_pattern,
     kernel_basis,
-    lex_less,
     min_clicks,
     parse_pattern,
 )
@@ -65,16 +67,23 @@ def mcp_bruteforce(n: int) -> tuple[int, CellSet]:
     is built. An empty kernel needs no search: the answer is n^2,
     whatever the budget.
 
-    A dynamic program over cells in row-major order accounts for every
-    representative. Its state is a weight profile: the weight of x ^ m
-    so far for each kernel member m, packed into fields of one int, and
-    it maps to the lex-smallest prefix x reaching it. Two prefixes with
-    equal profiles gain equal weights from any completion, and the lower
-    cells decide ``lex_less``, so keeping the smaller prefix loses no
-    candidate. The result, the max over profiles of the min field with
-    ties to the lex-smallest representative, is that of a scan of every
-    representative. At most 2304 profiles are live on 4x4 and 1728 on
-    5x5, against 2^12 and 2^23 representatives.
+    A dynamic program over the free cells in row-major order accounts for
+    every representative. Its state is a weight profile: |x ^ m| for each
+    kernel member m, one byte a member, with the cells of x not yet
+    decided taken clear. Leaving a cell clear changes no profile, so the
+    pivot cells take no step; setting free cell i adds one fixed delta,
+    +1 in the bytes of the members without i and -1 in those with it.
+    Each step is a set union of the states and their shifted copies.
+    Bytes never overflow: the budget admits only n^2 - d <= 24 with
+    d <= n, so n <= 5 and no weight exceeds 25. The best value is the
+    max over final profiles of the min byte. The tie-break then walks the
+    stored sets twice: backward, keeping at each step only the states
+    that still reach a best profile; forward, leaving each free cell
+    clear whenever that keeps a best profile in reach. That yields the
+    lex-smallest best representative, as a scan of every representative
+    would. Each step's states are those of a profile over the cells so
+    far, shifted by one fixed offset, so at most 2304 are live on 4x4 and
+    1728 on 5x5, against 2^12 and 2^23 representatives.
     """
     if n < 1:
         raise ValueError("grid side length must be >= 1")
@@ -92,31 +101,39 @@ def mcp_bruteforce(n: int) -> tuple[int, CellSet]:
         )
     kb = kernel_basis(n)
     members = list(_span(kb, 0))
+    k = len(members)
     pivots = 0
     for e in kb.basis:
         pivots |= e.bits & -e.bits
-    width = size.bit_length()
-    ones = sum(1 << (width * j) for j in range(len(members)))
 
-    profiles = {0: 0}  # packed weights of x ^ m -> lex-smallest prefix x
-    for i in range(size):
-        off = sum(((m >> i) & 1) << (width * j) for j, m in enumerate(members))
-        clear = {p + off: x for p, x in profiles.items()}
-        if not (pivots >> i) & 1:
-            on, bit = ones - off, 1 << i
-            for p, x in profiles.items():
-                q, y = p + on, x | bit
-                if q not in clear or lex_less(y, clear[q]):
-                    clear[q] = y
-        profiles = clear
+    def packed(fields) -> int:
+        return int.from_bytes(bytes(fields), "little")
 
-    field = (1 << width) - 1
-    best_w, best_rep = -1, 0
-    for p, x in profiles.items():
-        w = min((p >> (width * j)) & field for j in range(len(members)))
-        if w > best_w or (w == best_w and lex_less(x, best_rep)):
-            best_w, best_rep = w, x
-    return best_w, apply_clicks(CellSet(n, best_rep))
+    ones = packed([1] * k)
+    free = [i for i in range(size) if not (pivots >> i) & 1]
+    deltas = [ones - 2 * packed((m >> i) & 1 for m in members) for i in free]
+    start = packed(m.bit_count() for m in members)
+    steps = [{start}]  # steps[t]: the profiles after the first t free cells
+    for delta in deltas:
+        states = steps[-1]
+        steps.append(states.union(map(delta.__add__, states)))
+
+    final = list(steps[-1])
+    lows = list(map(min, map(int.to_bytes, final, repeat(k), repeat("little"))))
+    best = max(lows)
+    # backward: steps[t] keeps only the states that still reach a best profile
+    reach = set(compress(final, map(best.__eq__, lows)))
+    for t in range(len(deltas), 0, -1):
+        steps[t] = reach
+        reach = steps[t - 1] & reach.union(map((-deltas[t - 1]).__add__, reach))
+
+    # forward: each free cell stays clear while a best profile stays in reach
+    state, rep = start, 0
+    for i, delta, live in zip(free, deltas, steps[1:]):
+        if state not in live:
+            state += delta
+            rep |= 1 << i
+    return best, apply_clicks(CellSet(n, rep))
 
 
 # -- constructive certificates ------------------------------------------------
@@ -200,13 +217,14 @@ class McpCertificate(NamedTuple):
 
 
 def _lowest_bits(bits: int, count: int) -> int:
-    """The ``count`` lowest set bits of ``bits``, which has at least that many."""
-    out = 0
-    for _ in range(count):
-        low = bits & -bits
-        out |= low
-        bits ^= low
-    return out
+    """The ``count`` lowest set bits of ``bits``, which has at least that many.
+
+    Splitting the binary digits at their last ``count`` ones leaves the
+    high digits above the lowest ``count`` set bits; the rest is the mask.
+    """
+    digits = format(bits, "b")
+    head = digits.rsplit("1", count)[0]
+    return bits & ((1 << (len(digits) - len(head))) - 1)
 
 
 def worst_case_construct(k: int) -> McpCertificate:
@@ -271,8 +289,15 @@ def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> 
         return False
     if apply_clicks(cert.witness) != cert.worst_config:
         return False
+    # The basis is checked against the kernel's definition before it is
+    # trusted: d nonzero even covers (d from the GCD) with distinct leading
+    # cells are independent, so they span the whole kernel.
+    basis = list(kernel_basis(cert.n))
+    leads = {e.bits & -e.bits for e in basis} - {0}
+    if len(basis) != cert.nullity or len(leads) != len(basis) or any(map(apply_clicks, basis)):
+        return False
     # the walk starts at the witness: it and its three kernel translates weigh the claim
-    span = _span(kernel_basis(cert.n), cert.witness.bits)
+    span = _span(basis, cert.witness.bits)
     if any(x.bit_count() != cert.claimed_min for x in span):
         return False
     if check_min_clicks:

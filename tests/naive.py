@@ -301,6 +301,32 @@ def coset_leader_mcp(n: int) -> int:
     return best
 
 
+def lex_smallest_worst_representative(n: int) -> int:
+    """The first representative in reading order attaining the max-min weight.
+
+    The pivots are the lowest cells of the nonzero kernel elements, and the
+    representatives are the click sets clear on them. Every one is scanned;
+    ties go to the reading-order 0/1 string that sorts first.
+    """
+    size = n * n
+    span = kernel_span_naive(n)
+    pivots = {(e & -e).bit_length() - 1 for e in span if e}
+    free = [c for c in range(size) if c not in pivots]
+    best_key = None
+    best_rep = 0
+    for mask in range(1 << len(free)):
+        x = 0
+        for j, c in enumerate(free):
+            if (mask >> j) & 1:
+                x |= 1 << c
+        w = min(bin(x ^ e).count("1") for e in span)
+        reading = "".join("1" if (x >> c) & 1 else "0" for c in range(size))
+        key = (-w, reading)
+        if best_key is None or key < best_key:
+            best_key, best_rep = key, x
+    return best_rep
+
+
 # -- tiling: grids as lists of 0/1 rows -----------------------------------------
 
 def tile_naive(rows: list[list[int]], n: int, k: int) -> list[list[int]]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lightsout import McpCertificate, mcp, read_records_csv, verify_certificate
+from lightsout import McpCertificate, gridmap, mcp, read_records_csv, verify_certificate
 from lightsout.cli import _build_parser, main
 
 
@@ -223,6 +223,16 @@ def test_mcp_brute_over_budget(capsys):
     assert code == 0 and out == "49\n"
     code, _, err = run(capsys, "mcp", "9", "--brute")
     assert code == 1 and "budget" in err
+
+
+def test_mcp_brute_on_an_empty_kernel_builds_no_image(capsys, monkeypatch):
+    # d(20001) = 0: the answer is n^2, without an n^2-bit image of the full board
+    def no_image(clicks):
+        raise AssertionError(f"built the {clicks.n}x{clicks.n} image to print n^2")
+
+    monkeypatch.setattr(mcp, "apply_clicks", no_image)
+    monkeypatch.setattr(gridmap, "apply_clicks", no_image)
+    assert run(capsys, "mcp", "20001", "--brute") == (0, "400040001\n", "")
 
 
 # -- tile and regions ---------------------------------------------------------

@@ -79,6 +79,13 @@ def test_bruteforce_answers_are_pinned_bit_for_bit():
         assert (got, worst.n, worst.bits) == (value, n, bits), f"n={n}"
 
 
+def test_bruteforce_tie_break_matches_a_scan_of_every_representative():
+    # the lex-smallest best representative, found without PINNED or lex_less
+    rep = naive.lex_smallest_worst_representative(4)
+    assert mcp_bruteforce(4)[1] == apply_clicks(CellSet(4, rep))
+    assert min_clicks(mcp_bruteforce(5)[1])[0] == 15
+
+
 @pytest.mark.parametrize("n, value", [(4, 7), (5, 15)])
 def test_bruteforce_matches_coset_leader_oracle(n, value):
     assert naive.coset_leader_mcp(n) == value
@@ -310,6 +317,28 @@ def test_verify_rejects_tampered_config():
         doc["worst_config"][:first_dot] + "#" + doc["worst_config"][first_dot + 1:]
     )
     assert not verify_certificate(McpCertificate.from_json(json.dumps(doc)))
+
+
+# a 5x5 witness of weight 15 whose four solutions weigh 15, 15, 13 and 9:
+# only its translate by the first basis vector also weighs 15
+FORGED_WITNESS = CellSet(5, 0x12BED59)
+
+
+@pytest.mark.parametrize("forge", [
+    pytest.param(lambda basis: basis[:1], id="dropped-vector"),
+    pytest.param(lambda basis: basis[:1] * 2, id="repeated-vector"),
+    pytest.param(lambda basis: (basis[0], CellSet(5, 0)), id="zero-vector"),
+])
+def test_verify_checks_the_kernel_basis_before_walking_it(monkeypatch, forge):
+    cert = worst_case_construct(1)._replace(
+        witness=FORGED_WITNESS, worst_config=apply_clicks(FORGED_WITNESS))
+    weights = sorted((FORGED_WITNESS.bits ^ e).bit_count() for e in naive.kernel_span_naive(5))
+    assert weights == [9, 13, 15, 15]
+    assert not verify_certificate(cert)
+    real = mcp.kernel_basis
+    monkeypatch.setattr(mcp, "kernel_basis", lambda n: forge(real(n).basis))
+    assert not verify_certificate(cert)
+    assert not verify_certificate(cert, check_min_clicks=True)
 
 
 def test_verify_rejects_certificate_from_another_grid():
