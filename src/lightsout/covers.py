@@ -9,14 +9,14 @@ one below a multiple of n monotone in k.
 
 On a grid with kernel dimension exactly 2 the three nonzero covers cut the
 board into four disjoint membership regions (every cell lies in either none
-or exactly two of the covers): the d = 2 case of the kernel's cell types,
-which the mcp module's worst-case construction reads directly.
+or exactly two of the covers). They are built here, from the two basis
+vectors, and the mcp module's worst-case construction reads them.
 """
 
 from __future__ import annotations
 
 from .gf2poly import nullity
-from .gridmap import CellSet, apply_clicks, kernel_basis
+from .gridmap import CellSet, _spaced_bits, apply_clicks, kernel_basis
 
 __all__ = [
     "is_even_cover",
@@ -31,8 +31,8 @@ def is_even_cover(s: CellSet) -> bool:
 
 
 def _copies(k: int, stride: int, parity: int) -> int:
-    """Sum of 1 << (j*stride) over the copies j < k with j % 2 == parity."""
-    return sum(1 << (j * stride) for j in range(parity, k, 2))
+    """Bit j*stride set for every copy j < k with j % 2 == parity."""
+    return _spaced_bits(2 * stride, (k - parity + 1) // 2) << (parity * stride)
 
 
 def tile_cover(q: CellSet, n: int, k: int) -> CellSet:
@@ -69,11 +69,11 @@ def tile_cover(q: CellSet, n: int, k: int) -> CellSet:
 def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:
     """The four membership regions (R1, R2, R3, R4) of the (6k-1)x(6k-1) grid.
 
-    Defined only when the grid's kernel dimension is exactly 2. R4 is
-    cell type 0 (``KernelBasis.cell_types``); R1, R2, R3 are the three
-    nonzero types, the pairwise intersections of the three covers, sorted
-    by (size, first cell in row-major order). Their sizes are 4k^2, 8k^2,
-    8k^2 and 16k^2 - 12k + 1.
+    Defined only when the grid's kernel dimension is exactly 2. With basis
+    vectors a and b the covers are a, b and a ^ b; R1, R2, R3 are their
+    pairwise intersections a & ~b, a & b and b & ~a, sorted by (size, first
+    cell in row-major order), and R4 is the cells no cover touches. Their
+    sizes are 4k^2, 8k^2, 8k^2 and 16k^2 - 12k + 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -84,8 +84,9 @@ def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:
             f"{n}x{n} grid has nullity {d}, not 2; "
             "the four-region partition is undefined"
         )
-    r4, *pairs = kernel_basis(n).cell_types()
-    pairs.sort(key=lambda r: (r.bit_count(), r & -r))
+    a, b = (e.bits for e in kernel_basis(n))
+    pairs = sorted((a & ~b, a & b, b & ~a), key=lambda r: (r.bit_count(), r & -r))
     if [r.bit_count() for r in pairs] != [4 * k * k, 8 * k * k, 8 * k * k]:
         raise ValueError("cover intersections do not match the 4k^2 and 8k^2 region sizes")
+    r4 = ((1 << n * n) - 1) & ~(a | b)
     return tuple(CellSet(n, r) for r in (*pairs, r4))  # type: ignore[return-value]

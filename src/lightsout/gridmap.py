@@ -43,7 +43,7 @@ __all__ = [
     "format_pbm",
 ]
 
-NULLITY_CAP = 20  # nothing here enumerates more than 2^20 solutions, covers or cell types
+NULLITY_CAP = 20  # nothing here enumerates more than 2^20 solutions or covers
 
 
 class UnsolvableError(ValueError):
@@ -56,24 +56,13 @@ def _check_nullity(d: int) -> None:
         raise ValueError(f"nullity {d} exceeds the enumeration cap {NULLITY_CAP}")
 
 
-class _Frozen:
-    """Refuses assignment after ``__init__``: cached values are shared by every caller.
+class CellSet:
+    """Immutable set of cells on an n-by-n grid, stored as a row-major bitset.
 
-    A subclass sets its slots, in ``__init__``'s argument order, with
-    ``object.__setattr__``; copies and pickles are rebuilt through ``__init__``.
+    Assignment is refused after ``__init__``: the cached kernel's vectors
+    are shared by every caller. Copies and pickles are rebuilt through
+    ``__init__``.
     """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, slot) for slot in self.__slots__)
-
-
-class CellSet(_Frozen):
-    """Immutable set of cells on an n-by-n grid, stored as a row-major bitset."""
 
     __slots__ = ("n", "bits")
 
@@ -84,6 +73,12 @@ class CellSet(_Frozen):
             raise ValueError(f"bits outside the {n}x{n} grid")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.bits)
 
     @classmethod
     def empty(cls, n: int) -> CellSet:
@@ -119,54 +114,22 @@ class CellSet(_Frozen):
         return format_pattern(self)
 
 
-class KernelBasis(_Frozen):
+class KernelBasis(tuple):
     """Canonical basis of the click map's kernel for an n-by-n grid.
 
-    Basis vectors are in reduced row-echelon form over the row-major cell
-    order (each has a leading cell no other basis vector touches), sorted
-    by leading cell, so output is reproducible run to run. Immutable: the
-    cached basis of a size is shared by every caller.
+    A tuple of ``CellSet``s in reduced row-echelon form over the row-major
+    cell order (each has a leading cell no other basis vector touches),
+    sorted by leading cell, so output is reproducible run to run. Being a
+    tuple of immutable vectors, the cached basis of a size is safe to
+    share with every caller.
     """
 
-    __slots__ = ("n", "basis")
-
-    def __init__(self, n: int, basis: tuple[CellSet, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KernelBasis):
-            return NotImplemented
-        return self.n == other.n and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.basis))
-
-    def __repr__(self) -> str:
-        return f"KernelBasis(n={self.n!r}, basis={self.basis!r})"
-
-    def __len__(self) -> int:
-        return len(self.basis)
-
-    def __iter__(self) -> Iterator[CellSet]:
-        return iter(self.basis)
+    __slots__ = ()
 
     def span_nonzero(self) -> list[CellSet]:
         """The 2^d - 1 nonzero kernel elements, Gray-code order; refused above ``NULLITY_CAP``."""
-        _check_nullity(len(self.basis))
-        return [CellSet(self.n, v) for v in islice(_span(self.basis, 0), 1, None)]
-
-    def cell_types(self) -> list[int]:
-        """The 2^d cell masks by type; refused above ``NULLITY_CAP``.
-
-        Entry t holds the cells that lie in basis vector j exactly when
-        bit j of t is set; entry 0 is the cells no kernel element touches.
-        """
-        _check_nullity(len(self.basis))
-        types = [(1 << self.n * self.n) - 1]
-        for b in self.basis:
-            types = [m & ~b.bits for m in types] + [m & b.bits for m in types]
-        return types
+        _check_nullity(len(self))
+        return [CellSet(self[0].n, v) for v in islice(_span(self, 0), 1, None)]
 
 
 # -- click map ---------------------------------------------------------------
@@ -281,7 +244,7 @@ def kernel_basis(n: int) -> KernelBasis:
     """
     if n < 1:
         raise ValueError("grid side length must be >= 1")
-    return KernelBasis(n, tuple(CellSet(n, _chase(n, 0, t)[0]) for t in _residual_matrix(n)[1]))
+    return KernelBasis(CellSet(n, _chase(n, 0, t)[0]) for t in _residual_matrix(n)[1])
 
 
 # -- solvers -----------------------------------------------------------------

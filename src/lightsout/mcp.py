@@ -4,12 +4,13 @@ The MCP asks how many clicks a worst-case solvable configuration needs.
 For kernel dimension 0 every configuration has a unique solution and the
 answer is the full board. For grids of side 6k-1 whose kernel dimension
 is 2, a minimal solution meets each nonzero cover in at most half its
-cells, which caps its overlap with the kernel's three nonzero cell types
-and gives 26k^2 - 12k + 1 clicks at most. Half of each nonzero type plus
-all of type 0 attains the cap: the configuration it clicks has four
-solutions of exactly that weight. That configuration and its witness form
-a certificate that the bound is attained, trusted only once
-``verify_certificate`` has recomputed it.
+cells, which caps its overlap with the three regions the covers share
+pairwise (``covers.region_partition``) and gives 26k^2 - 12k + 1 clicks
+at most. Half of each of those regions plus all of the fourth attains
+the cap: the configuration it clicks has four solutions of exactly that
+weight. That configuration and its witness form a certificate that the
+bound is attained, trusted only once ``verify_certificate`` has
+recomputed it.
 
 An exhaustive oracle is included for small boards: the solvable
 configurations correspond one-to-one to canonical coset representatives
@@ -27,6 +28,7 @@ from __future__ import annotations
 from itertools import compress, repeat
 from typing import NamedTuple
 
+from .covers import is_even_cover, region_partition
 from .gf2poly import nullity
 from .gridmap import (
     CellSet,
@@ -103,7 +105,7 @@ def mcp_bruteforce(n: int) -> tuple[int, CellSet]:
     members = list(_span(kb, 0))
     k = len(members)
     pivots = 0
-    for e in kb.basis:
+    for e in kb:
         pivots |= e.bits & -e.bits
 
     def packed(fields) -> int:
@@ -230,16 +232,17 @@ def _lowest_bits(bits: int, count: int) -> int:
 def worst_case_construct(k: int) -> McpCertificate:
     """Build a worst-case configuration certificate for the (6k-1)x(6k-1) grid.
 
-    Type 0 of the kernel's cell types (``KernelBasis.cell_types``) has
-    16k^2 - 12k + 1 cells; the nonzero types have 4k^2, 8k^2 and 8k^2, and
-    each cover is two of them. A minimal solution x meets each cover in at
-    most half its cells, so with a_t = |x & type t| (types by size)
-    a_1 + a_2 <= 6k^2, a_1 + a_3 <= 6k^2 and a_2 + a_3 <= 8k^2. Summing,
-    2(a_1 + a_2 + a_3) <= 20k^2, so x has at most 26k^2 - 12k + 1 cells.
-    The witness, all of type 0 and the first half of each nonzero type in
-    row-major order, attains it: every solution of its image has exactly
-    that weight. If the nullity is not 2 the bound still holds but the
-    certificate is non-certifying, and no kernel is built.
+    Region R4 of ``covers.region_partition`` has 16k^2 - 12k + 1 cells;
+    R1, R2 and R3 have 4k^2, 8k^2 and 8k^2, and each cover is two of them.
+    A minimal solution x meets each cover in at most half its cells, so
+    with a_t = |x & R_t| a_1 + a_2 <= 6k^2, a_1 + a_3 <= 6k^2 and
+    a_2 + a_3 <= 8k^2. Summing, 2(a_1 + a_2 + a_3) <= 20k^2, so x has at
+    most 26k^2 - 12k + 1 cells. The witness, all of R4 and the first half
+    of each of R1, R2, R3 in row-major order, attains it: the region
+    sizes, which ``region_partition`` checks, make its weight the bound,
+    and every solution of its image has exactly that weight. If the
+    nullity is not 2 the bound still holds but the certificate is
+    non-certifying, and no kernel is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -255,12 +258,10 @@ def worst_case_construct(k: int) -> McpCertificate:
             worst_config=None,
             witness=None,
         )
-    x, *nonzero = kernel_basis(n).cell_types()
-    for t in nonzero:
-        x |= _lowest_bits(t, t.bit_count() // 2)
+    *pairs, x = (r.bits for r in region_partition(k))
+    for r in pairs:
+        x |= _lowest_bits(r, r.bit_count() // 2)
     witness = CellSet(n, x)
-    if len(witness) != bound:
-        raise RuntimeError("constructed witness weight disagrees with the formula")
     return McpCertificate(
         k=k,
         n=n,
@@ -292,9 +293,9 @@ def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> 
     # The basis is checked against the kernel's definition before it is
     # trusted: d nonzero even covers (d from the GCD) with distinct leading
     # cells are independent, so they span the whole kernel.
-    basis = list(kernel_basis(cert.n))
+    basis = kernel_basis(cert.n)
     leads = {e.bits & -e.bits for e in basis} - {0}
-    if len(basis) != cert.nullity or len(leads) != len(basis) or any(map(apply_clicks, basis)):
+    if len(basis) != cert.nullity or len(leads) != len(basis) or not all(map(is_even_cover, basis)):
         return False
     # the walk starts at the witness: it and its three kernel translates weigh the claim
     span = _span(basis, cert.witness.bits)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lightsout.covers import is_even_cover, region_partition, tile_cover
+from lightsout.gf2poly import nullity
 from lightsout.gridmap import CellSet, apply_clicks, kernel_basis, parse_pattern
 
 import naive
@@ -63,11 +64,26 @@ def test_tiled_covers_stay_covers():
                 assert is_even_cover(tile_cover(q, n, k))
 
 
-def test_tiling_5x5_kernel_gives_17x17_kernel():
-    # the three tiled images are exactly the three nonzero kernel
-    # elements of the 17x17 grid
-    tiled = {tile_cover(q, 6, 3) for q in kernel_basis(5).span_nonzero()}
-    assert tiled == set(kernel_basis(17).span_nonzero())
+# sides nk - 1 <= 150, k >= 2, whose nullity equals that of the base side n - 1
+SAME_NULLITY = {
+    4: [14, 24, 34, 44, 54, 74, 94, 104, 114, 124, 134, 144],
+    5: [17, 41, 53, 77, 113, 137],
+    9: [49, 69, 109],
+    11: [35, 83, 107],
+    16: [50, 118],
+}
+
+
+def test_tiling_gives_the_whole_kernel_where_nullity_holds():
+    # tiling is linear and injective, so where the nullity does not grow
+    # the tiled images are exactly the nonzero kernel elements of the big side
+    for m, sides in SAME_NULLITY.items():
+        n = m + 1
+        assert [s for s in range(2 * n - 1, 151, n) if nullity(s) == nullity(m)] == sides
+        base = kernel_basis(m).span_nonzero()
+        for side in sides:
+            tiled = {tile_cover(q, n, (side + 1) // n) for q in base}
+            assert tiled == set(kernel_basis(side).span_nonzero()), (m, side)
 
 
 def test_tiling_4x4_kernel_images_have_full_rank():
@@ -162,7 +178,7 @@ def test_region_membership_counts():
 def test_region_labels_match_cover_intersections():
     # R1, R2, R3 are the pairwise cover intersections, the 4k^2 one
     # first, then the 8k^2 ones by their first cell in row-major order
-    for k in (1, 3):
+    for k in (1, 3, 7, 9, 13):  # every d = 2 side that mcp --k 1..13 certifies
         e1, e2, e3 = (e.bits for e in kernel_basis(6 * k - 1).span_nonzero())
         r1, r2, r3, _ = (reg.bits for reg in region_partition(k))
         assert {r1, r2, r3} == {e1 & e2, e1 & e3, e2 & e3}

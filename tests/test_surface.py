@@ -16,7 +16,7 @@ import pytest
 import lightsout
 from lightsout import McpCertificate, worst_case_construct
 from lightsout.cli import main
-from lightsout.gridmap import KernelBasis
+from lightsout.gridmap import KernelBasis, kernel_basis
 from lightsout.scan import CongruenceReport, ConjectureEntry, ConjectureReport, ScanRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,7 +69,8 @@ def _certificate_and_read_back(k):
     return cert, McpCertificate.from_json(cert.to_json()), worst_case_construct(k + 1)
 
 
-# name -> (a field, then a value, an equal value built apart, a different value)
+# name -> (a field, then a value, an equal value built apart, a different value);
+# KernelBasis is a tuple with no fields, so its "field" is a new attribute
 VALUES = {
     "ScanRecord": ("nullity", lambda: (ScanRecord(5, 2), ScanRecord(5, 2), ScanRecord(5, 0))),
     "CongruenceReport": ("checked", lambda: (
@@ -80,7 +81,7 @@ VALUES = {
     "ConjectureReport": ("entries", lambda: (
         ConjectureReport((ConjectureEntry(1, 5, 2),)), ConjectureReport((ConjectureEntry(1, 5, 2),)),
         ConjectureReport(()))),
-    "KernelBasis": ("n", lambda: (KernelBasis(3, ()), KernelBasis(3, ()), KernelBasis(4, ()))),
+    "KernelBasis": ("n", lambda: (kernel_basis(5), KernelBasis(kernel_basis(5)), kernel_basis(4))),
     "McpCertificate k=1": ("witness", lambda: _certificate_and_read_back(1)),
     "McpCertificate k=2": ("claimed_min", lambda: _certificate_and_read_back(2)),
 }
@@ -91,7 +92,7 @@ def test_records_and_reports_are_immutable_values(name):
     field, build = VALUES[name]
     value, same, other = build()
     with pytest.raises(AttributeError):
-        setattr(value, field, getattr(value, field))
+        setattr(value, field, getattr(value, field, None))
     assert value == same and hash(value) == hash(same)
     assert value is not same and value != other
     if name == "ScanRecord":
