@@ -1,24 +1,15 @@
-"""Command-line interface.
+"""Command-line interface, whose grammar is the table ``_COMMANDS``.
 
-Subcommands map one-to-one onto the library: ``nullity`` and ``kernel``
-expose the GF(2) structure of a grid, ``solve`` reads a light pattern and
-prints a click set, ``mcp`` computes or certifies worst-case click counts,
-``tile`` grows even parity covers, ``regions`` prints the four-region
-partition of a nullity-2 grid, and ``scan`` runs the nullity census.
-
-Exit codes: 0 success, 1 usage or internal error, 2 mathematically
-unsolvable input. Identical invocations produce byte-identical output;
-progress chatter goes to stderr only. ``main`` may be called any number
-of times in one process: the parser is built on the first call and
-reused, and each call's output equals that of the same call on its own.
+Exit codes: 0 success, 1 usage or internal error, 2 unsolvable input.
+Identical calls print identical bytes, whether or not earlier calls ran in
+the same process; progress chatter goes to stderr only.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 from . import covers, gridmap, mcp, scan
 from .gf2poly import nullity
@@ -27,24 +18,6 @@ from .gridmap import UnsolvableError
 __all__ = ["main"]
 
 _LIST_LIMIT = 20  # print individual nullity-2 sides only for short lists
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; here 2 is reserved for unsolvable."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _read_pattern(path: str) -> gridmap.CellSet:
@@ -162,97 +135,120 @@ def _cmd_scan(args) -> int:
     return 0 if report.ok else 1
 
 
-# -- parser ---------------------------------------------------------------------
+# -- grammar --------------------------------------------------------------------
 
-# Built once per process, as building costs some thirty to fifty parses.
-# Reuse is safe: parse_args returns a fresh Namespace on every call, every
-# default is immutable (None or False), usage errors, usage and --help look
-# up sys.stdout and sys.stderr when they print (so redirect_stdout and
-# captured streams still see them), and help reads COLUMNS when formatted.
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="lightsout",
-        description="Lights Out on square grids: kernels, covers, and "
-                    "worst-case click counts over GF(2).",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                parser_class=_Parser)
+# Each subcommand: its handler, its help line, its arguments in the order of its
+# usage line ("--opt", then "n", or "[n]" where it may be left out) with their
+# types (int: an integer >= 1, str: a path, None: a flag), and the options of
+# which exactly one must be given (a lone one is simply required). Parsing,
+# usage lines and -h text all read it.
+_COMMANDS = {
+    "nullity": (_cmd_nullity, "kernel dimension of the n-by-n grid", {"n": int}, ()),
+    "kernel": (_cmd_kernel, "print a kernel basis as patterns", {"--pbm": None, "n": int}, ()),
+    "solve": (_cmd_solve, "solve a light pattern file", {"--min": None, "file": str}, ()),
+    "mcp": (_cmd_mcp, "worst-case click count by --brute or --certify", {"--k": int, "--brute": None,
+            "--certify": None, "--out": str, "--workers": int, "[n]": int}, ("--brute", "--certify")),
+    "tile": (_cmd_tile, "tile an (n-1)x(n-1) even parity cover to (nk-1)x(nk-1)",
+             {"--pbm": None, "file": str, "n": int, "k": int}, ()),
+    "regions": (_cmd_regions, "four-region partition of a nullity-2 grid of side 6k-1",
+                {"--k": int, "--pbm": None}, ("--k",)),
+    "scan": (_cmd_scan, "nullity census up to n_max",
+             {"--fast": None, "--out": str, "--workers": int, "n_max": int}, ()),
+}
 
-    p = sub.add_parser("nullity", help="kernel dimension of the n-by-n grid")
-    p.add_argument("n", type=_positive_int)
-    p.set_defaults(func=_cmd_nullity)
 
-    p = sub.add_parser("kernel", help="print a kernel basis as patterns")
-    p.add_argument("n", type=_positive_int)
-    p.add_argument("--pbm", action="store_true", help="emit PBM P1 instead of text")
-    p.set_defaults(func=_cmd_kernel)
+class _UsageError(Exception):
+    """A malformed command line: (the subcommand once known, the reason)."""
 
-    p = sub.add_parser("solve", help="solve a light pattern file")
-    p.add_argument("file", help="pattern file ('#' lit, '.' unlit)")
-    p.add_argument("--min", action="store_true",
-                   help="minimum-click solution instead of any solution")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("mcp", help="worst-case click count")
-    p.add_argument("n", nargs="?", type=_positive_int,
-                   help="side length (alternative to --k)")
-    p.add_argument("--k", type=_positive_int,
-                   help="parameter k for side 6k-1")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--brute", action="store_true",
-                      help="exact search over every kernel coset (small n)")
-    mode.add_argument("--certify", action="store_true",
-                      help="constructive certificate for side 6k-1")
-    p.add_argument("--out", help="write the certificate JSON here")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="accepted for compatibility; no effect on mcp, "
-                        "whose search runs in one process")
-    p.set_defaults(func=_cmd_mcp)
+def _classify(token: str, args: dict) -> tuple[str, str | None] | None:
+    """None for a positional; else (the option, in full or by a unique prefix, or ""; its =value)."""
+    if not token.startswith("-") or token in ("-", "--") or token[1:].isdecimal():  # positionals
+        return None
+    # the positionals among args never match: they do not start with "-"
+    names, (head, eq, value) = ("-h", "--help", *args), token.partition("=")
+    hits = [head] if head in names else [n for n in names if n.startswith(head) and token[1] == "-"]
+    return (hits[0] if len(hits) == 1 else ""), (value if eq else None)
 
-    p = sub.add_parser("tile", help="tile an (n-1)x(n-1) even parity cover "
-                                    "to (nk-1)x(nk-1)")
-    p.add_argument("file", help="pattern file holding the cover")
-    p.add_argument("n", type=_positive_int)
-    p.add_argument("k", type=_positive_int)
-    p.add_argument("--pbm", action="store_true")
-    p.set_defaults(func=_cmd_tile)
 
-    p = sub.add_parser("regions", help="four-region partition of a "
-                                       "nullity-2 grid of side 6k-1")
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--pbm", action="store_true")
-    p.set_defaults(func=_cmd_regions)
+def _value(command: str, arg: str, kind: type, text: str) -> int | str:
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _UsageError(command, f"argument {arg}: not an integer: {text!r}") from None
+    if kind is int and value < 1:
+        raise _UsageError(command, f"argument {arg}: must be >= 1, got {value}")
+    return value
 
-    p = sub.add_parser("scan", help="nullity census up to n_max")
-    p.add_argument("n_max", type=_positive_int)
-    p.add_argument("--fast", action="store_true",
-                   help="only sides n = 5 mod 12, by the halving identities; "
-                        "d(n) is always even and every d = 2 side is 5 mod 12, "
-                        "so the d = 2 count is exact")
-    p.add_argument("--out", help="write records here as CSV")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker processes (default: the CPUs this process may run on)")
-    p.set_defaults(func=_cmd_scan)
 
-    return parser
+def _parse(argv: Sequence[str]) -> tuple[Callable, SimpleNamespace | None]:
+    """The handler for ``argv`` and its argument, read in one walk over ``argv``."""
+    command, run, args, needs, tokens = None, None, {}, (), iter(argv)
+    waiting, values, extras, dashed = ["subcommand"], {}, [], False
+    for token in tokens:  # the first positional names the subcommand; a later "--" ends its options
+        option = None if dashed else _classify(token, args)
+        if token == "--" and command and not dashed:
+            dashed = True
+        elif option is None and command is None:
+            if token not in _COMMANDS:
+                raise _UsageError(None, f"argument subcommand: invalid choice: {token!r} "
+                                        f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            command, (run, _, args, needs) = token, _COMMANDS[token]
+            waiting = [arg for arg in args if arg[0] != "-"]  # positionals, in order
+            values = {arg: None if kind else False for arg, kind in args.items()}
+        elif option is None and waiting:
+            arg = waiting.pop(0)
+            values[arg] = _value(command, arg.strip("[]"), args[arg], token)
+        elif option is None or not option[0] or option[1] is not None and not args.get(option[0]):
+            extras.append(token)  # a flag given a value is unrecognized too
+        elif option[0] not in args:  # -h or --help: the usage line, then what each command does
+            rows = [(command, _COMMANDS[command])] if command else _COMMANDS.items()
+            sys.stdout.write(_usage(command) + "".join(f"  {name:<9}{row[1]}\n" for name, row in rows))
+            return (lambda _: 0), None
+        else:
+            (name, value), kind = option, args[option[0]]
+            if name in needs and (clash := [o for o in needs if o != name and values[o]]):
+                raise _UsageError(command, f"argument {name}: not allowed with argument {clash[0]}")
+            # an option without "=value" takes the next token, which must be a positional
+            if kind and value is None and ((value := next(tokens, "--")) == "--" or _classify(value, args)):
+                raise _UsageError(command, f"argument {name}: expected one argument")
+            values[name] = True if kind is None else _value(command, name, kind, value)
+    missing = [arg for arg in waiting if arg[0] != "["]
+    missing += [name for name in needs if len(needs) == 1 and not values[name]]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    if needs and not any(values[name] for name in needs):
+        raise _UsageError(command, f"one of the arguments {' '.join(needs)} is required")
+    if extras:
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(extras)}")
+    return run, SimpleNamespace(**{arg.strip("[-]"): value for arg, value in values.items()})
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: lightsout [-h] {{{','.join(_COMMANDS)}}} ...\n"
+    (_, _, args, needs), words = _COMMANDS[command], [command, "[-h]"]
+    for arg, kind in args.items():
+        word = f"{arg} {arg[2:].upper()}" if kind and arg[0] == "-" else arg
+        words.append(word if arg[0] != "-" or needs == (arg,) else f"[{word}]")
+    return f"usage: lightsout {' '.join(words)}\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        run, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        cmd, reason = exc.args
+        sys.stderr.write(f"{_usage(cmd)}lightsout{' ' + cmd if cmd else ''}: error: {reason}\n")
+        return 1
     try:
-        return args.func(args)
+        return run(args)
     except UnsolvableError:
         print("unsolvable")
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,8 +1,8 @@
 """Command-line surface: outputs, exit codes, file round-trips.
 
 Everything but the ``python -m lightsout`` check drives cli.main()
-in-process; exit codes come from its return value so argparse's own
-SystemExit never escapes.
+in-process; exit codes come from its return value, usage errors and help
+included.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from lightsout import McpCertificate, gridmap, mcp, read_records_csv, verify_certificate
-from lightsout.cli import _build_parser, main
+from lightsout.cli import main
 
 
 def run(capsys, *argv):
@@ -348,7 +348,76 @@ def test_certificate_json_from_cli_matches_library(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == json.loads(worst_case_construct(1).to_json())
 
 
-# -- one parser for many calls --------------------------------------------------
+# -- the grammar ------------------------------------------------------------------
+
+# argv, exit code, stdout, and the last line of stderr; every usage error
+# prints nothing to stdout and a usage line first on stderr
+GRAMMAR = [
+    (["mcp", "--k", "3", "--cert"], 0, None, None),  # unique prefixes, as argparse allows
+    (["mcp", "5", "--bru", "--work", "1"], 0, "15\n", None),
+    (["mcp", "5", "--brute", "--workers", "1"], 0, "15\n", None),  # the benchmark's traced passes
+    (["mcp", "5", "--brute", "--workers=1"], 0, "15\n", None),
+    (["nullity", "--", "5"], 0, "2\n", None),
+    (["regions", "--k=1"], 0, None, None),
+    (["kernel", "-3"], 1, "", "lightsout kernel: error: argument n: must be >= 1, got -3"),
+    (["nullity", "x"], 1, "", "lightsout nullity: error: argument n: not an integer: 'x'"),
+    (["mcp", "--k", "0", "--certify"], 1, "", "lightsout mcp: error: argument --k: must be >= 1, got 0"),
+    (["scan", "30", "--out"], 1, "", "lightsout scan: error: argument --out: expected one argument"),
+    (["nullity", "5", "6"], 1, "", "lightsout nullity: error: unrecognized arguments: 6"),
+    (["solve", "--bogus", "x"], 1, "", "lightsout solve: error: unrecognized arguments: --bogus"),
+    (["-x", "nullity", "5"], 1, "", "lightsout nullity: error: unrecognized arguments: -x"),
+    (["scan", "30", "--", "--fast"], 1, "", "lightsout scan: error: unrecognized arguments: --fast"),
+    (["bogus"], 1, "", "lightsout: error: argument subcommand: invalid choice: 'bogus' (choose from "
+                       "'nullity', 'kernel', 'solve', 'mcp', 'tile', 'regions', 'scan')"),
+    ([], 1, "", "lightsout: error: the following arguments are required: subcommand"),
+    (["tile", "cover.txt"], 1, "", "lightsout tile: error: the following arguments are required: n, k"),
+    (["regions"], 1, "", "lightsout regions: error: the following arguments are required: --k"),
+    (["mcp", "5"], 1, "", "lightsout mcp: error: one of the arguments --brute --certify is required"),
+    (["mcp", "--brute", "--certify", "5"], 1, "",
+     "lightsout mcp: error: argument --certify: not allowed with argument --brute"),
+    (["mcp", "--certify", "--brute", "5"], 1, "",
+     "lightsout mcp: error: argument --brute: not allowed with argument --certify"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, last_err", GRAMMAR, ids=[" ".join(g[0]) or "-" for g in GRAMMAR])
+def test_grammar(capsys, argv, code, out, last_err):
+    got_code, got_out, got_err = run(capsys, *argv)
+    assert got_code == code
+    if out is not None:
+        assert got_out == out
+    if last_err is None:
+        assert got_err == ""
+    else:
+        prog = last_err.split(": error: ")[0]  # "lightsout", then the subcommand once known
+        assert got_err.startswith(f"usage: {prog} ")
+        assert got_err.endswith(f"\n{last_err}\n")
+
+
+def test_equals_form_prints_what_the_spaced_form_prints(capsys):
+    assert run(capsys, "mcp", "--k=2", "--certify") == run(capsys, "mcp", "--k", "2", "--certify")
+
+
+OPTIONS = {
+    None: ["nullity", "kernel", "solve", "mcp", "tile", "regions", "scan"],
+    "nullity": [], "kernel": ["--pbm"], "solve": ["--min"], "tile": ["--pbm"],
+    "mcp": ["--k", "--brute", "--certify", "--out", "--workers"],
+    "regions": ["--k", "--pbm"], "scan": ["--fast", "--out", "--workers"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(OPTIONS), ids=str)
+def test_help_names_every_option(capsys, command, flag):
+    argv = [command, flag] if command else [flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    usage = out.splitlines()[0]
+    assert usage.startswith(f"usage: lightsout {command} [-h]" if command else "usage: lightsout [-h]")
+    assert all(name in usage for name in OPTIONS[command])
+
+
+# -- many calls in one process ----------------------------------------------------
 
 @pytest.mark.parametrize("calls", [
     [("nullity", "0"), ("nullity", "5")],
@@ -357,14 +426,8 @@ def test_certificate_json_from_cli_matches_library(capsys, tmp_path):
     [("--help",), ("--help",)],
 ])
 def test_parser_reuse_matches_calls_on_their_own(capsys, calls):
-    alone = []
-    for argv in calls:
-        _build_parser.cache_clear()
-        alone.append(run(capsys, *argv))
-    _build_parser.cache_clear()
+    alone = [run(capsys, *argv) for argv in calls]
     assert [run(capsys, *argv) for argv in calls] == alone
-    info = _build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(calls) - 1)
 
 
 def test_python_m_lightsout():
