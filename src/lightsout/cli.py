@@ -60,23 +60,18 @@ def _cmd_solve(args) -> int:
 def _cmd_mcp(args) -> int:
     if (args.n is None) == (args.k is None):
         raise ValueError("give exactly one of a side length n or --k")
+    n = args.n if args.n is not None else 6 * args.k - 1
     if args.brute:
         if args.out is not None:
             raise ValueError("--out needs --certify")
-        n = args.n if args.n is not None else 6 * args.k - 1
         # an empty kernel leaves one click set a coset: the answer is n^2, no image needed
         print(n * n if nullity(n) == 0 else mcp.mcp_bruteforce(n)[0])
         return 0
-    if args.k is not None:
-        k = args.k
-    else:
-        if args.n % 6 != 5:
-            raise ValueError(f"side {args.n} is not of the form 6k-1; "
-                             "certificates need --k or such a side")
-        k = (args.n + 1) // 6
+    if n % 6 != 5:
+        raise ValueError(f"side {n} is not of the form 6k-1; certificates need --k or such a side")
     if args.out is not None:  # created now, so an unwritable path fails before the construction
         open(args.out, "w", encoding="utf-8").close()
-    cert = mcp.worst_case_construct(k)
+    cert = mcp.worst_case_construct((n + 1) // 6)
     print(cert.claimed_min)
     if not cert.certified:
         print(f"upper bound only (nullity {cert.nullity})")

@@ -191,28 +191,29 @@ def _chase(n: int, board: int, top: int) -> tuple[int, int]:
     return clicks, cur
 
 
-def _reduce(pivots: dict[int, tuple[int, int]], v: int, track: int) -> tuple[int, int]:
-    """Clear v's leading bits with ``pivots`` while they reach; track follows."""
+def _reduce(pivots: dict[int, int], v: int) -> int:
+    """Clear v's leading bits with ``pivots`` while they reach."""
     while v:
         hit = pivots.get(v.bit_length() - 1)
         if hit is None:
             break
-        v ^= hit[0]
-        track ^= hit[1]
-    return v, track
+        v ^= hit
+    return v
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _residual_matrix(n: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
+def _residual_matrix(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     """The residual matrix M of the n-by-n grid, reduced.
 
     Column j of M is the residual of clicking cell (0, j) alone and
     chasing, so M = f_{n+1}(T) for the row's click map T. Returns the
-    pivots {leading bit: (M*t, t)} for first rows t, and a basis of the
-    first rows t with M*t = 0. Column j = n-1 down to 0 is reduced by
-    the pivots above it, so a pivot's t touches only pivot columns and a
-    null t is bit j plus pivot columns above j: the null t come out in
-    reduced row-echelon form by lowest bit, sorted.
+    pivots {leading bit: (M*t << n) | t} for first rows t, one integer a
+    row so that a step of elimination is one XOR, and a basis of the
+    first rows t with M*t = 0: the rows whose high half reduces to 0.
+    Column j = n-1 down to 0 is reduced by the pivots above it, so a
+    pivot's t touches only pivot columns and a null t is bit j plus pivot
+    columns above j: the null t come out in reduced row-echelon form by
+    lowest bit, sorted.
     """
     # Chase all n unit first rows at once: block j of an n*n-bit integer
     # (the cells of "row" j) holds the chase from cell (0, j), so a step
@@ -222,14 +223,14 @@ def _residual_matrix(n: int) -> tuple[dict[int, tuple[int, int]], tuple[int, ...
     prev, cur = 0, _spaced_bits(n + 1, n)  # the identity: bit j of block j
     for _ in range(n):
         prev, cur = cur, cur ^ ((cur << 1) & not_first) ^ ((cur >> 1) & not_last) ^ prev
-    pivots: dict[int, tuple[int, int]] = {}
+    pivots: dict[int, int] = {}
     null = []
     for j in reversed(range(n)):
-        col, track = _reduce(pivots, (cur >> (j * n)) & ((1 << n) - 1), 1 << j)
-        if col:
-            pivots[col.bit_length() - 1] = (col, track)
+        row = _reduce(pivots, ((cur >> (j * n)) & ((1 << n) - 1)) << n | 1 << j)
+        if row >> n:
+            pivots[row.bit_length() - 1] = row
         else:
-            null.append(track)
+            null.append(row)
     return pivots, tuple(reversed(null))
 
 
@@ -251,7 +252,9 @@ def kernel_basis(n: int) -> KernelBasis:
 
 def _first_row(config: CellSet) -> tuple[int, int]:
     """(left, t): M*t + left is the board's residual, left = 0 iff it is solvable."""
-    return _reduce(_residual_matrix(config.n)[0], _chase(config.n, config.bits, 0)[1], 0)
+    n = config.n
+    v = _reduce(_residual_matrix(n)[0], _chase(n, config.bits, 0)[1] << n)
+    return v >> n, v & ((1 << n) - 1)
 
 
 def is_solvable(config: CellSet) -> bool:

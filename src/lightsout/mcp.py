@@ -244,10 +244,8 @@ def worst_case_construct(k: int) -> McpCertificate:
     nullity is not 2 the bound still holds but the certificate is
     non-certifying, and no kernel is built.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = 6 * k - 1
-    bound = mcp_formula(k)
+    bound = mcp_formula(k)  # refuses k < 1 before any GCD
     d = nullity(n)
     if d != 2:
         return McpCertificate(

@@ -15,10 +15,10 @@ It is the ground truth the fast mode is checked against. Both take
 their GCDs over GF(2)[x^2 + x]; the congruence audit checks both.
 
 ``census`` scans 1..n_max in blocks of sides, optionally across worker
-processes forked from the caller and handed one block at a time, with
-no process pool; ``scan_range`` is one direct sweep over any range.
-Results are plain (n, nullity) records, written and read back as CSV,
-plus small report objects for the congruence check and the
+processes forked from the caller that each take the next block when
+free, with no process pool; ``scan_range`` is one direct sweep over any
+range. Results are plain (n, nullity) records, written and read back as
+CSV, plus small report objects for the congruence check and the
 d(2*3^k - 1) = 2 conjecture.
 """
 
@@ -67,10 +67,11 @@ def census(
     ``fast`` computes only the sides n = 5 (mod 12), where the halving
     identities place every four-element kernel; the full mode scans every
     side. Blocks run on up to ``workers`` forked processes (default: one
-    per CPU this process may run on), never more than there are blocks;
-    without ``os.fork`` they run in this process. ``progress`` is called
-    with (sides done, sides total) after every block, in order of n. The
-    records are sorted by n regardless of worker count.
+    per CPU this process may run on), never more than there are blocks,
+    each taking the next block when free; without ``os.fork`` they run
+    in this process. ``progress`` is called with (sides done, sides
+    total) after every block, in order of n. The records are sorted by n
+    regardless of worker count.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")

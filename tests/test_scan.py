@@ -189,6 +189,33 @@ def test_forked_map_equals_map_past_a_full_pipe(deadline):
     _assert_no_child_left()
 
 
+def _killed_at_5(i):
+    if i == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_worker_killed_on_a_block_raises_and_leaves_no_child(workers, deadline):
+    with pytest.raises(RuntimeError, match="block 5"):
+        list(_forkmap.forked_map(_killed_at_5, [(i,) for i in range(10)], workers))
+    _assert_no_child_left()
+
+
+def test_forked_map_passes_one_token_among_more_workers_than_cores(deadline):
+    # five children, likely more than there are cores, pass one token 5000 times;
+    # a lost token would hang until the deadline
+    tasks = [(i,) for i in range(-5000, 0)]
+    assert list(_forkmap.forked_map(abs, tasks, 5)) == list(starmap(abs, tasks))
+    _assert_no_child_left()
+
+
+def test_forked_map_with_more_workers_than_tasks_or_no_tasks(deadline):
+    assert list(_forkmap.forked_map(abs, [(-1,)], 4)) == [1]
+    assert list(_forkmap.forked_map(abs, [], 2)) == []
+    _assert_no_child_left()
+
+
 def test_census_fast_agrees_with_full_under_500():
     full, full_report = census(500)
     fast, fast_report = census(500, fast=True)
