@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage or internal error, 2 unsolvable input.
 Identical calls print identical bytes, whether or not earlier calls ran in
-the same process; progress chatter goes to stderr only.
+the same process; progress chatter goes to stderr only. A command that
+would build a grid wider than ``SIDE_CAP`` refuses, with exit 1, before it
+reads or builds anything of that size; ``nullity``, ``scan`` and
+``mcp --brute`` build no such grid and take any side.
 """
 
 from __future__ import annotations
@@ -18,11 +21,22 @@ from .gridmap import UnsolvableError
 __all__ = ["main"]
 
 _LIST_LIMIT = 20  # print individual nullity-2 sides only for short lists
+# The widest grid a command builds. Side 1025 is the first whose kernel
+# printout passes 500 MB (d = 506); time and peak RSS below it are in CHANGES.md.
+SIDE_CAP = 1024
+
+
+def _check_side(side: int, what: str = "side") -> None:
+    if side > SIDE_CAP:
+        raise ValueError(f"{what} {side} exceeds the side cap {SIDE_CAP}")
 
 
 def _read_pattern(path: str) -> gridmap.CellSet:
+    """The pattern in ``path``, refused by its first line's length before the rest is read."""
     with open(path, "r", encoding="utf-8") as fh:
-        return gridmap.parse_pattern(fh.read())
+        first = fh.readline(SIDE_CAP + 1)  # a row at the cap and its newline, or too long a row
+        _check_side(len(first.rstrip("\n")), "pattern side")
+        return gridmap.parse_pattern(first + fh.read())
 
 
 def _emit(cells: gridmap.CellSet, pbm: bool) -> str:
@@ -37,6 +51,7 @@ def _cmd_nullity(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    _check_side(args.n)
     basis = gridmap.kernel_basis(args.n)
     if len(basis) == 0:
         print("(empty kernel)")
@@ -67,6 +82,7 @@ def _cmd_mcp(args) -> int:
         # an empty kernel leaves one click set a coset: the answer is n^2, no image needed
         print(n * n if nullity(n) == 0 else mcp.mcp_bruteforce(n)[0])
         return 0
+    _check_side(n)
     if n % 6 != 5:
         raise ValueError(f"side {n} is not of the form 6k-1; certificates need --k or such a side")
     if args.out is not None:  # created now, so an unwritable path fails before the construction
@@ -85,16 +101,27 @@ def _cmd_mcp(args) -> int:
 
 
 def _cmd_tile(args) -> int:
+    _check_side(args.n * args.k - 1, "output side")
     quilt = _read_pattern(args.file)
     sys.stdout.write(_emit(covers.tile_cover(quilt, args.n, args.k), args.pbm))
     return 0
 
 
 def _cmd_regions(args) -> int:
+    _check_side(6 * args.k - 1)
     blocks = []
     for i, region in enumerate(covers.region_partition(args.k), start=1):
         blocks.append(f"region {i}: {len(region)} cells\n" + _emit(region, args.pbm))
     sys.stdout.write("\n".join(blocks))
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    with open(args.file, "r", encoding="utf-8") as fh:
+        cert = mcp.McpCertificate.from_json(fh.read())
+    if not mcp.verify_certificate(cert, check_min_clicks=True):
+        raise ValueError(f"certificate {args.file} does not verify")
+    print("verified")
     return 0
 
 
@@ -149,6 +176,7 @@ _COMMANDS = {
                 {"--k": int, "--pbm": None}, ("--k",)),
     "scan": (_cmd_scan, "nullity census up to n_max",
              {"--fast": None, "--out": str, "--workers": int, "n_max": int}, ()),
+    "verify": (_cmd_verify, "re-check an mcp certificate file from scratch", {"file": str}, ()),
 }
 
 

@@ -20,11 +20,28 @@ M's columns are reduced last to first, so pivot first rows touch only
 pivot columns and a null first row is e_j plus pivot columns above j. One
 elimination thus gives the kernel's reduced row-echelon first rows, and
 solutions clear on every kernel leading cell.
+
+The fewest clicks solving a board is the lightest member of a coset
+s + K, with s the canonical solution and K the kernel, of basis
+e_0..e_{d-1}. A cell's type t is the set of basis vectors holding it (bit
+j for e_j). Let n_t count the cells of type t, a_t those of them in s,
+and b_t = n_t - 2a_t. Member c = s + sum of c_j e_j holds a cell of type
+t iff s does, flipped when <c, t> is odd, so it weighs
+
+    |s| + sum over t of b_t [<c, t> odd] = |s| + (B - b^(c)) / 2,
+
+with B the sum of the b_t and b^(c) = sum of b_t (-1)^<c, t> the
+Walsh-Hadamard transform of b (MacWilliams & Sloane, "The Theory of
+Error-Correcting Codes", 1977, ch. 5). One histogram of the cell types and
+one transform of length 2^d weigh every member, where a walk over the
+coset does 2^d XORs and popcounts of n^2-bit integers.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import sys
+from collections import Counter
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, islice
 from operator import xor
 from typing import Iterable, Iterator
@@ -283,14 +300,14 @@ def _span(basis: Iterable[CellSet], start: int) -> Iterator[int]:
     return accumulate(flips, xor, initial=start)
 
 
-def _coset(config: CellSet) -> Iterator[int]:
-    """Every solution of ``config`` by Gray code from the canonical one.
+def _solution_and_basis(config: CellSet) -> tuple[int, KernelBasis]:
+    """The canonical solution of ``config`` and the kernel basis.
 
     Solves first, then refuses d > ``NULLITY_CAP`` before chasing the kernel.
     """
     cur = solve_particular(config).bits
     _check_nullity(len(_residual_matrix(config.n)[1]))
-    return _span(kernel_basis(config.n), cur)
+    return cur, kernel_basis(config.n)
 
 
 def all_solutions(config: CellSet) -> list[CellSet]:
@@ -299,7 +316,8 @@ def all_solutions(config: CellSet) -> list[CellSet]:
     Exactly 2^d solutions for kernel dimension d; refuses to enumerate
     when d exceeds ``NULLITY_CAP``.
     """
-    return [CellSet(config.n, bits) for bits in _coset(config)]
+    cur, basis = _solution_and_basis(config)
+    return [CellSet(config.n, bits) for bits in _span(basis, cur)]
 
 
 def lex_less(a: int, b: int) -> bool:
@@ -315,11 +333,17 @@ def lex_less(a: int, b: int) -> bool:
 def min_clicks(config: CellSet) -> tuple[int, CellSet]:
     """Fewest clicks solving ``config``, with a witness click set.
 
-    Scans the whole solution coset (refused above ``NULLITY_CAP``); among
-    equal-weight minima the witness is the lexicographically smallest
-    bitset in row-major order.
+    Searches the whole solution coset (refused above ``NULLITY_CAP``);
+    among equal-weight minima the witness is the lexicographically
+    smallest bitset in row-major order. Below ``TRANSFORM_NULLITY`` the
+    2^d members are walked by Gray code; from it up their weights come
+    from ``_coset_minimum``'s transform, which builds only the tied minima.
     """
-    coset = _coset(config)
+    cur, basis = _solution_and_basis(config)
+    if len(basis) >= TRANSFORM_NULLITY:
+        best_w, best = _coset_minimum(basis, cur)
+        return best_w, CellSet(config.n, best)
+    coset = _span(basis, cur)
     best = next(coset)
     best_w = best.bit_count()
     for cur in coset:
@@ -327,6 +351,125 @@ def min_clicks(config: CellSet) -> tuple[int, CellSet]:
         if w < best_w or (w == best_w and lex_less(cur, best)):
             best, best_w = cur, w
     return best_w, CellSet(config.n, best)
+
+
+# -- coset weights by a Walsh-Hadamard transform --------------------------------
+
+# The histogram reads every cell, O(n^2) whatever d is, while the walk does
+# 2^d steps. The coset search alone on the same random images, walk against
+# transform (in process, 2 vCPUs): d = 10 at n = 29, 89 and 149, 0.17/1.3/1.7
+# against 0.30/1.9/2.8 ms; d = 12 at n = 84, 2.6 against 1.4 ms. Every
+# side's d is even, so 12 is the first past the crossover (CHANGES.md).
+TRANSFORM_NULLITY = 12  # min_clicks transforms from this nullity up, and walks below it
+
+# translate a vector's '0'/'1' digits to bytes 0 and 2^j, for the j-th vector of a lane
+_KEY_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
+
+
+def _type_histogram(vectors: list[int], size: int) -> Counter:
+    """How many of ``size`` cells have each key; bit j of a cell's key says vectors[j] holds it.
+
+    At C speed, with one byte lane per eight vectors: a vector's digits,
+    translated to bytes 0 and 2^j, read as one integer with a byte a cell,
+    so eight vectors OR into one lane. The lanes interleave into 2- or
+    4-byte keys, which ``Counter`` tallies. At most four lanes.
+    """
+    lanes = []
+    for g in range(0, len(vectors), 8):
+        lane = 0
+        for bit, v in zip(_KEY_BITS, vectors[g:g + 8]):
+            lane |= int.from_bytes(format(v, f"0{size}b").encode().translate(bit), "big")
+        lanes.append(lane.to_bytes(size, "big"))
+    width = 2 if len(lanes) <= 2 else 4
+    keys = bytearray(width * size)
+    for g, lane in enumerate(lanes):
+        keys[(g if sys.byteorder == "little" else width - 1 - g)::width] = lane
+    return Counter(memoryview(keys).cast("H" if width == 2 else "I"))
+
+
+def _lane_max(guard: int, width: int, x: int, y: int) -> int:
+    """Lane-wise max of two packings of ``width``-bit lanes below the guard bit.
+
+    The guard bit survives x | guard - y in exactly the lanes where x >= y.
+    """
+    ge = ((x | guard) - y) & guard
+    return y ^ ((x ^ y) & (ge - (ge >> (width - 1))))
+
+
+def _half_span(vectors: Iterable[CellSet]) -> list[int]:
+    """Entry i is the XOR of the vectors at the set bits of i, built by doubling."""
+    span = [0]
+    for e in vectors:
+        span += [x ^ e.bits for x in span]
+    return span
+
+
+def _coset_minimum(basis: KernelBasis, s: int) -> tuple[int, int]:
+    """Fewest cells in a member of s + span(``basis``), and the lex-smallest such member.
+
+    Member c weighs |s| + (B - b^(c)) / 2 (module docstring), so the
+    lightest members are the c of the heaviest b^(c). The transform is
+    blocked: member index c splits into its low half c_lo (``low`` bits)
+    and its high half c_hi. The 2^low values of c_lo are lanes of one
+    integer, each wide enough for b^(c) plus a bias that keeps it
+    nonnegative, and one integer, a block, stands for each c_hi. Level 1
+    sets block t_hi to the transform over c_lo of the types with high half
+    t_hi: the sum of b_t (1 - 2 [<c_lo, t_lo> odd]), by parity patterns
+    built by doubling. Level 2 is the butterfly (u + v, u - v) over the
+    block list, whose lanes then read b^(c) + bias: the bias was put in
+    block 0, and the transform of block 0 alone is every block. A
+    guard-bit lane max over the blocks and then within the last gives the
+    heaviest b^(c); a guard-bit threshold at it marks the tied lanes, and
+    only their members, s ^ lo[c_lo] ^ hi[c_hi] from two half-span
+    tables, are built and compared. Nothing walks the 2^d members.
+    """
+    d, size = len(basis), basis[0].n ** 2
+    mask = (1 << d) - 1
+    b: dict[int, int] = {}  # b_t for each nonzero type t present; key bit d says the cell is in s
+    for key, count in _type_histogram([e.bits for e in basis] + [s], size).items():
+        if t := key & mask:
+            b[t] = b.get(t, 0) + (-count if key >> d else count)
+    bias = sum(map(abs, b.values()))  # |b^(c)| <= bias
+    width = (2 * bias).bit_length() + 1  # a lane holds b^(c) + bias below its guard bit
+    low = d // 2
+    lanes = 1 << low
+    ones = _spaced_bits(width, lanes)
+    parity = [0]  # lane c_lo of parity[t_lo] is 1 iff <c_lo, t_lo> is odd
+    for k in range(low):  # flip the lanes with bit k set: the upper 2^k of every 2^(k+1)
+        run = _spaced_bits(width, 1 << k) << (width << k)
+        flip = _spaced_bits(width << (k + 1), lanes >> (k + 1)) * run
+        parity += [p ^ flip for p in parity]
+    sums, odd = [0] * (1 << (d - low)), [0] * (1 << (d - low))
+    for t, bt in b.items():
+        sums[t >> low] += bt
+        odd[t >> low] += bt * parity[t & (lanes - 1)]
+    blocks = [total * ones - 2 * o for total, o in zip(sums, odd)]
+    blocks[0] += bias * ones
+    h = 1
+    while h < len(blocks):
+        for i in range(len(blocks)):
+            if not i & h:
+                u, v = blocks[i], blocks[i | h]
+                blocks[i], blocks[i | h] = u + v, u - v
+        h *= 2
+    guard = ones << (width - 1)
+    top = reduce(partial(_lane_max, guard, width), blocks)
+    for k in reversed(range(low)):  # halve the lanes, down to one
+        keep = (1 << (width << k)) - 1
+        top = _lane_max(guard & keep, width, top >> (width << k), top & keep)
+    weight = s.bit_count() + (sum(b.values()) - (top - bias)) // 2
+    lo, hi = _half_span(basis[:low]), _half_span(basis[low:])
+    best = None
+    threshold = ((1 << (width - 1)) - top) * ones  # sets the guard bit of lanes >= top
+    for c_hi, block in enumerate(blocks):
+        tied = (block + threshold) & guard
+        while tied:
+            bit = tied & -tied
+            tied ^= bit
+            cur = s ^ lo[bit.bit_length() // width - 1] ^ hi[c_hi]
+            if best is None or lex_less(cur, best):
+                best = cur
+    return weight, best
 
 
 # -- pattern text format -----------------------------------------------------

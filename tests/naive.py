@@ -168,24 +168,25 @@ def apply_clicks_naive(n: int, clicks: int) -> int:
     return out
 
 
-def kernel_span_naive(n: int) -> set[int]:
-    """Every click set with no effect, found by checking all null candidates.
+def kernel_basis_naive(n: int) -> list[int]:
+    """A basis of the click sets with no effect.
 
-    Textbook free-variable elimination: reduce the click matrix, read the
-    nullspace basis, expand the span.
+    Textbook free-variable elimination: reduce the click matrix (rows as
+    int bitsets, bit j = column j) and read the nullspace basis, one
+    vector per free column.
     """
     size = n * n
-    rows = [list(row) for row in click_matrix(n)]
+    rows = [neighborhood_naive(n, i // n, i % n) for i in range(size)]
     pivot_of_col: dict[int, int] = {}
     r = 0
     for c in range(size):
-        pivot = next((i for i in range(r, size) if rows[i][c]), None)
+        pivot = next((i for i in range(r, size) if (rows[i] >> c) & 1), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         for i in range(size):
-            if i != r and rows[i][c]:
-                rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
+            if i != r and (rows[i] >> c) & 1:
+                rows[i] ^= rows[r]
         pivot_of_col[c] = r
         r += 1
     basis = []
@@ -194,13 +195,27 @@ def kernel_span_naive(n: int) -> set[int]:
             continue
         vec = 1 << c
         for pc, pr in pivot_of_col.items():
-            if rows[pr][c]:
+            if (rows[pr] >> c) & 1:
                 vec |= 1 << pc
         basis.append(vec)
+    return basis
+
+
+def kernel_span_naive(n: int) -> set[int]:
+    """Every click set with no effect: the span of ``kernel_basis_naive``."""
     span = {0}
-    for b in basis:
+    for b in kernel_basis_naive(n):
         span |= {s ^ b for s in span}
     return span
+
+
+def span_walk(basis: list[int]):
+    """Every XOR of a subset of ``basis``, one at a time in Gray-code order."""
+    x = 0
+    yield x
+    for i in range(1, 1 << len(basis)):
+        x ^= basis[(i & -i).bit_length() - 1]
+        yield x
 
 
 def cell_types_naive(n: int, basis: list[int]) -> list[int]:
@@ -254,6 +269,25 @@ def brute_min_clicks(n: int, config: int) -> int | None:
             if best is None or w < best:
                 best = w
     return best
+
+
+def coset_min_naive(n: int, solution: int, span) -> tuple[int, int]:
+    """Fewest clicks over ``solution ^ e`` for every e in ``span``, member by member.
+
+    Among the lightest members the witness is the one whose reading-order
+    0/1 string (cell 0 first) sorts first. ``span`` is any iterable of the
+    kernel's elements, such as ``span_walk(kernel_basis_naive(n))``, which
+    stores none of them.
+    """
+    best, ties = n * n + 1, []
+    for e in span:
+        member = solution ^ e
+        w = member.bit_count()
+        if w < best:
+            best, ties = w, [member]
+        elif w == best:
+            ties.append(member)
+    return best, min(ties, key=lambda m: format(m, f"0{n * n}b")[::-1])
 
 
 def brute_mcp(n: int) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lightsout import McpCertificate, gridmap, mcp, read_records_csv, verify_certificate
+from lightsout import McpCertificate, cli, covers, gridmap, mcp, read_records_csv, verify_certificate
 from lightsout.cli import main
 
 
@@ -348,6 +348,93 @@ def test_certificate_json_from_cli_matches_library(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == json.loads(worst_case_construct(1).to_json())
 
 
+# -- verify -------------------------------------------------------------------------
+
+@pytest.fixture
+def cert_k3(capsys, tmp_path):
+    path = tmp_path / "c3.json"
+    assert run(capsys, "mcp", "--k", "3", "--certify", "--out", str(path))[0] == 0
+    return path
+
+
+def test_verify_accepts_a_fresh_certificate(capsys, cert_k3):
+    assert run(capsys, "verify", str(cert_k3)) == (0, "verified\n", "")
+
+
+@pytest.mark.parametrize("edit", ["claimed_min", "witness"])
+def test_verify_rejects_an_edited_certificate(capsys, cert_k3, edit):
+    doc = json.loads(cert_k3.read_text())
+    if edit == "claimed_min":
+        doc["claimed_min"] -= 1
+    else:  # a foreign witness: a click set of the right size that does not click the configuration
+        doc["witness"] = doc["worst_config"]
+    cert_k3.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(cert_k3))
+    assert (code, out) == (1, "")
+    assert err == f"error: certificate {cert_k3} does not verify\n"
+
+
+def test_verify_rejects_broken_json_and_missing_files(capsys, cert_k3, tmp_path):
+    cert_k3.write_text(cert_k3.read_text()[:-20])
+    code, out, err = run(capsys, "verify", str(cert_k3))
+    assert (code, out) == (1, "") and err.startswith("error: ")
+    code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
+    assert (code, out) == (1, "") and "No such file" in err
+
+
+# -- the side cap -------------------------------------------------------------------
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Every library call that would build a grid raises instead."""
+    def refuse(*args):
+        raise AssertionError(f"a grid was built past the cap: {args}")
+
+    for module, name in [(gridmap, "kernel_basis"), (gridmap, "parse_pattern"),
+                         (gridmap, "solve_particular"), (gridmap, "min_clicks"),
+                         (covers, "tile_cover"), (covers, "region_partition"),
+                         (mcp, "worst_case_construct")]:
+        monkeypatch.setattr(module, name, refuse)
+
+
+BIG = cli.SIDE_CAP + 1
+CAPPED = [
+    ["kernel", str(BIG)],
+    ["kernel", "--pbm", str(BIG)],
+    ["regions", "--k", str(BIG // 6 + 1)],
+    ["mcp", "--k", str(BIG // 6 + 1), "--certify"],
+    ["mcp", str(6 * (BIG // 6 + 1) - 1), "--certify"],
+    ["tile", "cover.txt", "5", str(BIG // 5 + 1)],
+]
+
+
+@pytest.mark.parametrize("argv", CAPPED, ids=" ".join)
+def test_side_cap_refuses_before_building(capsys, nothing_built, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"exceeds the side cap {cli.SIDE_CAP}" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--min"]])
+def test_side_cap_refuses_a_wide_pattern_by_its_first_line(capsys, nothing_built, pattern_file, flags):
+    path = pattern_file("." * BIG + "\n")  # one line is enough to refuse
+    assert run(capsys, "solve", *flags, path) == (
+        1, "", f"error: pattern side {BIG} exceeds the side cap {cli.SIDE_CAP}\n")
+    path = pattern_file("." * (BIG - 1) + "\n.\n")  # at the cap the whole file is parsed
+    with pytest.raises(AssertionError, match="a grid was built"):
+        run(capsys, "solve", *flags, path)
+
+
+def test_side_cap_admits_the_cap_itself(capsys, monkeypatch):
+    monkeypatch.setattr(gridmap, "kernel_basis", lambda n: ())
+    assert run(capsys, "kernel", str(cli.SIDE_CAP)) == (0, "(empty kernel)\n", "")
+
+
+def test_side_cap_spares_the_commands_that_build_no_grid(capsys, nothing_built):
+    assert run(capsys, "nullity", "20001")[:2] == (0, "0\n")
+    assert run(capsys, "mcp", "20001", "--brute") == (0, "400040001\n", "")
+
+
 # -- the grammar ------------------------------------------------------------------
 
 # argv, exit code, stdout, and the last line of stderr; every usage error
@@ -368,7 +455,8 @@ GRAMMAR = [
     (["-x", "nullity", "5"], 1, "", "lightsout nullity: error: unrecognized arguments: -x"),
     (["scan", "30", "--", "--fast"], 1, "", "lightsout scan: error: unrecognized arguments: --fast"),
     (["bogus"], 1, "", "lightsout: error: argument subcommand: invalid choice: 'bogus' (choose from "
-                       "'nullity', 'kernel', 'solve', 'mcp', 'tile', 'regions', 'scan')"),
+                       "'nullity', 'kernel', 'solve', 'mcp', 'tile', 'regions', 'scan', "
+                       "'verify')"),
     ([], 1, "", "lightsout: error: the following arguments are required: subcommand"),
     (["tile", "cover.txt"], 1, "", "lightsout tile: error: the following arguments are required: n, k"),
     (["regions"], 1, "", "lightsout regions: error: the following arguments are required: --k"),
@@ -399,8 +487,8 @@ def test_equals_form_prints_what_the_spaced_form_prints(capsys):
 
 
 OPTIONS = {
-    None: ["nullity", "kernel", "solve", "mcp", "tile", "regions", "scan"],
-    "nullity": [], "kernel": ["--pbm"], "solve": ["--min"], "tile": ["--pbm"],
+    None: ["nullity", "kernel", "solve", "mcp", "tile", "regions", "scan", "verify"],
+    "nullity": [], "verify": [], "kernel": ["--pbm"], "solve": ["--min"], "tile": ["--pbm"],
     "mcp": ["--k", "--brute", "--certify", "--out", "--workers"],
     "regions": ["--k", "--pbm"], "scan": ["--fast", "--out", "--workers"],
 }

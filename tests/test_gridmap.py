@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lightsout import gridmap
+from lightsout import gridmap, worst_case_construct
 from lightsout.gridmap import (
     CellSet,
     UnsolvableError,
@@ -341,6 +341,88 @@ def test_min_clicks_tie_break_is_lexicographic():
         count, witness = min_clicks(config)
         ties = [s for s in all_solutions(config) if len(s) == count]
         assert witness == min(ties, key=lambda s: reading_order(s.bits, config.n ** 2))
+
+
+# sides <= 40 with a kernel, less 39, whose d = 32 is over NULLITY_CAP
+COSET_SIDES = [n for n in range(1, 41) if 0 < naive.nullity_naive(n) <= gridmap.NULLITY_CAP]
+
+
+def test_coset_sides_cover_every_nullity_up_to_the_cap():
+    assert {naive.nullity_naive(n) for n in COSET_SIDES} == {2, 4, 6, 8, 10, 14, 16, 20}
+
+
+def checked_basis(n):
+    """The library's basis, once the oracles confirm it spans the kernel.
+
+    d(n) even covers (d from the polynomial GCD) with distinct lowest
+    cells are independent, so they span the whole kernel.
+    """
+    basis = [e.bits for e in kernel_basis(n)]
+    assert len(basis) == naive.nullity_naive(n)
+    assert all(naive.apply_clicks_naive(n, e) == 0 for e in basis)
+    assert len({e & -e for e in basis}) == len(basis)
+    return basis
+
+
+def check_coset_min(n, clicks, basis):
+    count, witness = min_clicks(apply_clicks(CellSet(n, clicks)))
+    assert (count, witness.bits) == naive.coset_min_naive(n, clicks, naive.span_walk(basis)), n
+
+
+@pytest.mark.parametrize("n", COSET_SIDES)
+def test_min_clicks_matches_member_by_member_minimum(n):
+    basis = naive.kernel_basis_naive(n)
+    rng = random.Random(n)
+    for _ in range(2):
+        check_coset_min(n, rng.getrandbits(n * n), basis)
+
+
+@pytest.mark.parametrize("n", [84, 99, 101, 139])  # d = 12, 16, 18 and 16
+def test_min_clicks_matches_member_by_member_minimum_at_large_sides(n):
+    # the elimination oracle is O(n^6) in time, so the members come from the
+    # library's basis once the oracles have checked it against the kernel
+    basis = checked_basis(n)
+    rng = random.Random(n)
+    for _ in range(2):
+        check_coset_min(n, rng.getrandbits(n * n), basis)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_min_clicks_breaks_the_certificates_four_way_ties(k):
+    cert = worst_case_construct(k)
+    basis = naive.kernel_basis_naive(cert.n)
+    assert {(cert.witness.bits ^ e).bit_count() for e in naive.span_walk(basis)} == {cert.claimed_min}
+    check_coset_min(cert.n, cert.witness.bits, basis)
+
+
+def test_min_clicks_ties_from_the_switch_up():
+    # the second half of the cells of each type (the basis vectors holding a
+    # cell): then b_t = n_t - 2 ceil(n_t / 2) is 0 or -1, a member weighs
+    # |clicks| less the number of odd-sized types its index meets oddly, and
+    # the indices meeting the most tie
+    n = 33
+    basis = naive.kernel_basis_naive(n)
+    assert len(basis) >= gridmap.TRANSFORM_NULLITY
+    cells = {}
+    for v in range(n * n):
+        cells.setdefault(tuple((e >> v) & 1 for e in basis), []).append(v)
+    clicks = sum(1 << v for group in cells.values() for v in group[len(group) // 2:])
+    weights = [(clicks ^ e).bit_count() for e in naive.span_walk(basis)]
+    assert weights.count(min(weights)) > 1
+    check_coset_min(n, clicks, basis)
+
+
+def test_min_clicks_never_walks_the_span_from_the_switch_up(monkeypatch):
+    def no_span(basis, start):
+        raise AssertionError("min_clicks walked the coset above the switch")
+
+    first = next(n for n in range(1, 100) if len(kernel_basis(n)) == gridmap.TRANSFORM_NULLITY)
+    monkeypatch.setattr(gridmap, "_span", no_span)
+    rng = random.Random(0xDD)
+    for n in (first, 19, 30):  # d = the switch, 16 and 20
+        config = apply_clicks(rand_cellset(rng, n))
+        count, witness = min_clicks(config)
+        assert apply_clicks(witness) == config and len(witness) == count
 
 
 def reading_order(bits, width):
