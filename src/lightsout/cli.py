@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 usage or internal error, 2 unsolvable input.
 Identical calls print identical bytes, whether or not earlier calls ran in
 the same process; progress chatter goes to stderr only. A command that
 would build a grid wider than ``SIDE_CAP`` refuses, with exit 1, before it
-reads or builds anything of that size; ``nullity``, ``scan`` and
-``mcp --brute`` build no such grid and take any side.
+reads or builds anything of that size (``verify`` learns the side from the
+certificate it reads, and refuses before checking it); ``nullity``,
+``scan`` and ``mcp --brute`` build no such grid and take any side.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def _cmd_kernel(args) -> int:
     if len(basis) == 0:
         print("(empty kernel)")
         return 0
-    sys.stdout.write("\n".join(_emit(e, args.pbm) for e in basis))
+    for i, e in enumerate(basis):  # one pattern at a time: the printout can pass 70 MB
+        sys.stdout.write(("\n" if i else "") + _emit(e, args.pbm))
     return 0
 
 
@@ -119,6 +121,7 @@ def _cmd_regions(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         cert = mcp.McpCertificate.from_json(fh.read())
+    _check_side(cert.n)
     if not mcp.verify_certificate(cert, check_min_clicks=True):
         raise ValueError(f"certificate {args.file} does not verify")
     print("verified")

@@ -32,15 +32,14 @@ t iff s does, flipped when <c, t> is odd, so it weighs
 
 with B the sum of the b_t and b^(c) = sum of b_t (-1)^<c, t> the
 Walsh-Hadamard transform of b (MacWilliams & Sloane, "The Theory of
-Error-Correcting Codes", 1977, ch. 5). One histogram of the cell types and
-one transform of length 2^d weigh every member, where a walk over the
-coset does 2^d XORs and popcounts of n^2-bit integers.
+Error-Correcting Codes", 1977, ch. 5). One count of the cell types, by
+d splits of the board into classes, and one transform of length 2^d weigh
+every member, where a walk over the coset does 2^d XORs and popcounts of
+n^2-bit integers.
 """
 
 from __future__ import annotations
 
-import sys
-from collections import Counter
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, islice
 from operator import xor
@@ -333,59 +332,17 @@ def lex_less(a: int, b: int) -> bool:
 def min_clicks(config: CellSet) -> tuple[int, CellSet]:
     """Fewest clicks solving ``config``, with a witness click set.
 
-    Searches the whole solution coset (refused above ``NULLITY_CAP``);
-    among equal-weight minima the witness is the lexicographically
-    smallest bitset in row-major order. Below ``TRANSFORM_NULLITY`` the
-    2^d members are walked by Gray code; from it up their weights come
-    from ``_coset_minimum``'s transform, which builds only the tied minima.
+    Searches the whole solution coset (refused above ``NULLITY_CAP``) at
+    every nullity by ``_coset_minimum``'s transform, which builds only the
+    tied minima; among equal-weight minima the witness is the
+    lexicographically smallest bitset in row-major order.
     """
     cur, basis = _solution_and_basis(config)
-    if len(basis) >= TRANSFORM_NULLITY:
-        best_w, best = _coset_minimum(basis, cur)
-        return best_w, CellSet(config.n, best)
-    coset = _span(basis, cur)
-    best = next(coset)
-    best_w = best.bit_count()
-    for cur in coset:
-        w = cur.bit_count()
-        if w < best_w or (w == best_w and lex_less(cur, best)):
-            best, best_w = cur, w
+    best_w, best = _coset_minimum(config.n, basis, cur)
     return best_w, CellSet(config.n, best)
 
 
 # -- coset weights by a Walsh-Hadamard transform --------------------------------
-
-# The histogram reads every cell, O(n^2) whatever d is, while the walk does
-# 2^d steps. The coset search alone on the same random images, walk against
-# transform (in process, 2 vCPUs): d = 10 at n = 29, 89 and 149, 0.17/1.3/1.7
-# against 0.30/1.9/2.8 ms; d = 12 at n = 84, 2.6 against 1.4 ms. Every
-# side's d is even, so 12 is the first past the crossover (CHANGES.md).
-TRANSFORM_NULLITY = 12  # min_clicks transforms from this nullity up, and walks below it
-
-# translate a vector's '0'/'1' digits to bytes 0 and 2^j, for the j-th vector of a lane
-_KEY_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
-
-
-def _type_histogram(vectors: list[int], size: int) -> Counter:
-    """How many of ``size`` cells have each key; bit j of a cell's key says vectors[j] holds it.
-
-    At C speed, with one byte lane per eight vectors: a vector's digits,
-    translated to bytes 0 and 2^j, read as one integer with a byte a cell,
-    so eight vectors OR into one lane. The lanes interleave into 2- or
-    4-byte keys, which ``Counter`` tallies. At most four lanes.
-    """
-    lanes = []
-    for g in range(0, len(vectors), 8):
-        lane = 0
-        for bit, v in zip(_KEY_BITS, vectors[g:g + 8]):
-            lane |= int.from_bytes(format(v, f"0{size}b").encode().translate(bit), "big")
-        lanes.append(lane.to_bytes(size, "big"))
-    width = 2 if len(lanes) <= 2 else 4
-    keys = bytearray(width * size)
-    for g, lane in enumerate(lanes):
-        keys[(g if sys.byteorder == "little" else width - 1 - g)::width] = lane
-    return Counter(memoryview(keys).cast("H" if width == 2 else "I"))
-
 
 def _lane_max(guard: int, width: int, x: int, y: int) -> int:
     """Lane-wise max of two packings of ``width``-bit lanes below the guard bit.
@@ -404,11 +361,15 @@ def _half_span(vectors: Iterable[CellSet]) -> list[int]:
     return span
 
 
-def _coset_minimum(basis: KernelBasis, s: int) -> tuple[int, int]:
+def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:
     """Fewest cells in a member of s + span(``basis``), and the lex-smallest such member.
 
     Member c weighs |s| + (B - b^(c)) / 2 (module docstring), so the
-    lightest members are the c of the heaviest b^(c). The transform is
+    lightest members are the c of the heaviest b^(c). The cell types come
+    from splitting classes: the whole n-by-n board is one class, and each
+    basis vector e_j splits every class into its cells in e_j (type bit j
+    set) and the rest, so after d splits the nonempty classes are the
+    types present, and b_t = |cells| - 2 |cells & s|. The transform is
     blocked: member index c splits into its low half c_lo (``low`` bits)
     and its high half c_hi. The 2^low values of c_lo are lanes of one
     integer, each wide enough for b^(c) plus a bias that keeps it
@@ -421,14 +382,21 @@ def _coset_minimum(basis: KernelBasis, s: int) -> tuple[int, int]:
     guard-bit lane max over the blocks and then within the last gives the
     heaviest b^(c); a guard-bit threshold at it marks the tied lanes, and
     only their members, s ^ lo[c_lo] ^ hi[c_hi] from two half-span
-    tables, are built and compared. Nothing walks the 2^d members.
+    tables, are built and compared. Nothing walks the 2^d members, and
+    d = 0 is a one-lane transform whose one member is s.
     """
-    d, size = len(basis), basis[0].n ** 2
-    mask = (1 << d) - 1
-    b: dict[int, int] = {}  # b_t for each nonzero type t present; key bit d says the cell is in s
-    for key, count in _type_histogram([e.bits for e in basis] + [s], size).items():
-        if t := key & mask:
-            b[t] = b.get(t, 0) + (-count if key >> d else count)
+    classes = [(0, (1 << (n * n)) - 1)]  # (type over the vectors split by so far, its cells)
+    for j, e in enumerate(basis):
+        split = []
+        for t, cells in classes:
+            if inside := cells & e.bits:
+                split.append((t | 1 << j, inside))
+            if inside != cells:
+                split.append((t, cells ^ inside))
+        classes = split
+    # type 0, the cells in no basis vector, weighs the same in every member
+    b = {t: cells.bit_count() - 2 * (cells & s).bit_count() for t, cells in classes if t}
+    d = len(basis)
     bias = sum(map(abs, b.values()))  # |b^(c)| <= bias
     width = (2 * bias).bit_length() + 1  # a lane holds b^(c) + bias below its guard bit
     low = d // 2

@@ -8,6 +8,8 @@ in here imports the library.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 # -- polynomials over GF(2): lists of 0/1 coefficients, index = degree --------
 # The zero polynomial is the empty list.
@@ -259,16 +261,22 @@ def solve_naive(n: int, config: int) -> int | None:
     return out
 
 
+@lru_cache(maxsize=None)
+def lightest_by_image(n: int) -> dict[int, int]:
+    """Fewest clicks producing each image, over every one of the 2^(n^2) click sets (n <= 4)."""
+    size = n * n
+    best: dict[int, int] = {}
+    for clicks in range(1 << size):
+        image = apply_clicks_naive(n, clicks)
+        w = bin(clicks).count("1")
+        if best.get(image, size + 1) > w:
+            best[image] = w
+    return best
+
+
 def brute_min_clicks(n: int, config: int) -> int | None:
     """Minimum clicks for ``config`` over every one of the 2^(n^2) click sets."""
-    size = n * n
-    best = None
-    for clicks in range(1 << size):
-        if apply_clicks_naive(n, clicks) == config:
-            w = bin(clicks).count("1")
-            if best is None or w < best:
-                best = w
-    return best
+    return lightest_by_image(n).get(config)
 
 
 def coset_min_naive(n: int, solution: int, span) -> tuple[int, int]:
@@ -292,14 +300,7 @@ def coset_min_naive(n: int, solution: int, span) -> tuple[int, int]:
 
 def brute_mcp(n: int) -> int:
     """Worst-case minimum click count by exhausting every click set (n <= 4)."""
-    size = n * n
-    best_by_image: dict[int, int] = {}
-    for clicks in range(1 << size):
-        image = apply_clicks_naive(n, clicks)
-        w = bin(clicks).count("1")
-        if best_by_image.get(image, size + 1) > w:
-            best_by_image[image] = w
-    return max(best_by_image.values())
+    return max(lightest_by_image(n).values())
 
 
 def coset_leader_mcp(n: int) -> int:

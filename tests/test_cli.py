@@ -387,13 +387,13 @@ def test_verify_rejects_broken_json_and_missing_files(capsys, cert_k3, tmp_path)
 @pytest.fixture
 def nothing_built(monkeypatch):
     """Every library call that would build a grid raises instead."""
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError(f"a grid was built past the cap: {args}")
 
     for module, name in [(gridmap, "kernel_basis"), (gridmap, "parse_pattern"),
                          (gridmap, "solve_particular"), (gridmap, "min_clicks"),
                          (covers, "tile_cover"), (covers, "region_partition"),
-                         (mcp, "worst_case_construct")]:
+                         (mcp, "worst_case_construct"), (mcp, "verify_certificate")]:
         monkeypatch.setattr(module, name, refuse)
 
 
@@ -423,6 +423,14 @@ def test_side_cap_refuses_a_wide_pattern_by_its_first_line(capsys, nothing_built
     path = pattern_file("." * (BIG - 1) + "\n.\n")  # at the cap the whole file is parsed
     with pytest.raises(AssertionError, match="a grid was built"):
         run(capsys, "solve", *flags, path)
+
+
+def test_side_cap_refuses_a_wide_certificate_before_checking_it(capsys, nothing_built, tmp_path):
+    path = tmp_path / "c173.json"  # the side of worst_case_construct(173), written by hand
+    path.write_text(json.dumps({"k": 173, "n": 1037, "nullity": 2, "claimed_min": 1,
+                                "worst_config": None, "witness": None}))
+    assert run(capsys, "verify", str(path)) == (
+        1, "", f"error: side 1037 exceeds the side cap {cli.SIDE_CAP}\n")
 
 
 def test_side_cap_admits_the_cap_itself(capsys, monkeypatch):

@@ -402,7 +402,7 @@ def test_min_clicks_ties_from_the_switch_up():
     # the indices meeting the most tie
     n = 33
     basis = naive.kernel_basis_naive(n)
-    assert len(basis) >= gridmap.TRANSFORM_NULLITY
+    assert len(basis) == 16
     cells = {}
     for v in range(n * n):
         cells.setdefault(tuple((e >> v) & 1 for e in basis), []).append(v)
@@ -414,12 +414,13 @@ def test_min_clicks_ties_from_the_switch_up():
 
 def test_min_clicks_never_walks_the_span_from_the_switch_up(monkeypatch):
     def no_span(basis, start):
-        raise AssertionError("min_clicks walked the coset above the switch")
+        raise AssertionError("min_clicks walked the coset")
 
-    first = next(n for n in range(1, 100) if len(kernel_basis(n)) == gridmap.TRANSFORM_NULLITY)
+    sides = (1, 5, 4, 11, 9, 29, 84, 23, 19, 101, 30)  # d = 0, 2, ..., 20: every nullity to the cap
+    assert [len(kernel_basis(n)) for n in sides] == list(range(0, gridmap.NULLITY_CAP + 1, 2))
     monkeypatch.setattr(gridmap, "_span", no_span)
     rng = random.Random(0xDD)
-    for n in (first, 19, 30):  # d = the switch, 16 and 20
+    for n in sides:
         config = apply_clicks(rand_cellset(rng, n))
         count, witness = min_clicks(config)
         assert apply_clicks(witness) == config and len(witness) == count
