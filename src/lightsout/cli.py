@@ -119,9 +119,13 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     with open(args.file, "r", encoding="utf-8") as fh:
-        cert = mcp.McpCertificate.from_json(fh.read())
-    _check_side(cert.n)
+        doc = json.load(fh)
+    if isinstance(doc, dict) and isinstance(doc.get("n"), int):
+        _check_side(doc["n"])  # before the two n x n patterns are parsed
+    cert = mcp.McpCertificate._from_doc(doc)
     if not mcp.verify_certificate(cert, check_min_clicks=True):
         raise ValueError(f"certificate {args.file} does not verify")
     print("verified")

@@ -205,7 +205,11 @@ class McpCertificate(NamedTuple):
         """Read a certificate; a stored ``certified`` or ``checks`` is ignored."""
         import json
 
-        doc = json.loads(text)
+        return cls._from_doc(json.loads(text))
+
+    @classmethod
+    def _from_doc(cls, doc) -> McpCertificate:
+        """``from_json`` on the decoded document, the patterns parsed last."""
         if not isinstance(doc, dict):
             raise ValueError("certificate JSON must be an object")
         return cls(

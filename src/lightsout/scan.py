@@ -16,7 +16,10 @@ their GCDs over GF(2)[x^2 + x]; the congruence audit checks both.
 
 ``census`` scans 1..n_max in blocks of sides, optionally across worker
 processes forked from the caller that each take the next block when
-free, with no process pool; ``scan_range`` is one direct sweep over any
+free, with no process pool. A side costs about n^2 in either mode, so the
+blocks are laid out by guided self-scheduling: each takes a fixed share
+of the cost still left, the first ones long and the last ones short, and
+the workers finish together. ``scan_range`` is one direct sweep over any
 range. Results are plain (n, nullity) records, written and read back as
 CSV, plus small report objects for the congruence check and the
 d(2*3^k - 1) = 2 conjecture.
@@ -25,7 +28,7 @@ d(2*3^k - 1) = 2 conjecture.
 from __future__ import annotations
 
 import os
-from itertools import islice, repeat, starmap
+from itertools import repeat, starmap
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gf2poly import _fast_block, _sweep_block, _y_sweep, nullity, nullity_range
@@ -38,7 +41,28 @@ __all__ = [
     "read_records_csv",
 ]
 
-BLOCK_SIZE = 512
+MIN_BLOCK = 96
+
+
+def _block_ends(n_max: int, workers: int) -> list[int]:
+    """The last side of each census block, by guided self-scheduling.
+
+    Side n is modelled as costing n^2 (one GCD of degree about n), so sides
+    lo..hi cost hi^3 - (lo - 1)^3. Each block takes a 1/(2*workers) share of
+    the cost still left, ending at the cube root, but at least ``MIN_BLOCK``
+    sides: early blocks are long and late ones short, so the workers finish
+    together (Polychronopoulos & Kuck, IEEE Trans. Computers, 1987).
+    """
+    ends: list[int] = []
+    done = 0
+    while done < n_max:
+        target = done**3 + -(-(n_max**3 - done**3) // (2 * workers))  # rounded up
+        hi = int(target ** (1 / 3))  # the float root may fall just short
+        while hi**3 < target:
+            hi += 1
+        done = min(max(hi, done + MIN_BLOCK), n_max)
+        ends.append(done)
+    return ends
 
 
 class ScanRecord(NamedTuple):
@@ -62,7 +86,7 @@ def census(
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple[list[ScanRecord], "CongruenceReport"]:
-    """Scan sides 1..n_max in blocks of ``BLOCK_SIZE`` and audit the congruence.
+    """Scan sides 1..n_max in guided blocks (``_block_ends``) and audit the congruence.
 
     ``fast`` computes only the sides n = 5 (mod 12), where the halving
     identities place every four-element kernel; the full mode scans every
@@ -70,8 +94,9 @@ def census(
     per CPU this process may run on), never more than there are blocks,
     each taking the next block when free; without ``os.fork`` they run
     in this process. ``progress`` is called with (sides done, sides
-    total) after every block, in order of n. The records are sorted by n
-    regardless of worker count.
+    total) after every block, in order of n; the first block holds a
+    1/(2*workers) share of the cost, so the first call comes late. The
+    blocks depend on the worker count; the records, sorted by n, do not.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -82,12 +107,13 @@ def census(
         raise ValueError("need workers >= 1")
     if not hasattr(os, "fork"):
         workers = 1
-    starts = range(1, n_max + 1, BLOCK_SIZE)
-    ends = [min(lo + BLOCK_SIZE - 1, n_max) for lo in starts]
-    # a full block resumes one recurrence sweep to n_max at its (f_lo, f_{lo+1})
+    ends = _block_ends(n_max, workers)
+    starts = [1, *(hi + 1 for hi in ends[:-1])]
+    # a full block resumes one recurrence sweep at its (f_lo, f_{lo+1})
+    begins = set(starts)
+    states = (state for k, state in enumerate(_y_sweep(), 1) if k in begins)
     fn, tasks = ((_fast_block, zip(starts, ends)) if fast else
-                 (_sweep_block, zip(starts, ends, repeat(None),
-                                    islice(_y_sweep(), 0, n_max, BLOCK_SIZE))))
+                 (_sweep_block, zip(starts, ends, repeat(None), states)))
     workers = min(workers, len(starts))  # every worker is forked up front
     if workers == 1:
         blocks = starmap(fn, tasks)

@@ -390,7 +390,7 @@ def nothing_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError(f"a grid was built past the cap: {args}")
 
-    for module, name in [(gridmap, "kernel_basis"), (gridmap, "parse_pattern"),
+    for module, name in [(gridmap, "kernel_basis"), (gridmap, "parse_pattern"), (mcp, "parse_pattern"),
                          (gridmap, "solve_particular"), (gridmap, "min_clicks"),
                          (covers, "tile_cover"), (covers, "region_partition"),
                          (mcp, "worst_case_construct"), (mcp, "verify_certificate")]:
@@ -431,6 +431,16 @@ def test_side_cap_refuses_a_wide_certificate_before_checking_it(capsys, nothing_
                                 "worst_config": None, "witness": None}))
     assert run(capsys, "verify", str(path)) == (
         1, "", f"error: side 1037 exceeds the side cap {cli.SIDE_CAP}\n")
+
+
+def test_side_cap_refuses_a_wide_certificate_before_parsing_its_patterns(capsys, nothing_built,
+                                                                         tmp_path):
+    path = tmp_path / "c500.json"  # the side of worst_case_construct(500): two 9 MB patterns
+    rows = ("." * 2999 + "\n") * 2999
+    path.write_text(json.dumps({"k": 500, "n": 2999, "nullity": 2, "claimed_min": 1,
+                                "worst_config": rows, "witness": rows}))
+    assert run(capsys, "verify", str(path)) == (
+        1, "", f"error: side 2999 exceeds the side cap {cli.SIDE_CAP}\n")
 
 
 def test_side_cap_admits_the_cap_itself(capsys, monkeypatch):

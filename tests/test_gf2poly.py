@@ -6,6 +6,7 @@ import pytest
 
 from lightsout import gf2poly
 from lightsout.gf2poly import _fast_block, _fib_pair_y, nullity, nullity_range, poly_gcd
+from lightsout.scan import _block_ends
 
 import naive
 
@@ -152,10 +153,11 @@ def test_fast_block_matches_pointwise_nullity_to_6000():
 
 
 def test_fast_block_matches_pointwise_nullity_at_every_census_block_start():
-    # census blocks start at 1 + 512j (1, 9 or 5 mod 12), and lo = 1..12 is
-    # every residue; each block finds its own first side, so the expected
-    # sides within 24 of lo, up to 25000, come from a plain filter
-    for lo in [*range(1, 25001, 512), *range(1, 13)]:
+    # census blocks start one past each block end, and lo = 1..12 is every
+    # residue; each block finds its own first side, so the expected sides
+    # within 24 of lo, up to 25000, come from a plain filter
+    starts = {hi + 1 for workers in (1, 2, 3) for hi in _block_ends(25000, workers)[:-1]}
+    for lo in [*sorted(starts), *range(1, 13)]:
         hi = min(lo + 24, 25000)
         expected = [(n, nullity(n)) for n in range(lo, hi + 1) if n % 12 == 5]
         assert _fast_block(lo, hi) == expected, lo

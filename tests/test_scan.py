@@ -42,8 +42,34 @@ def test_scan_range_validation():
 
 
 def test_census_blocks_equal_one_sweep():
-    # census blocks start at 1, 513 and 1025; the two sweeps are cut at 300
+    # one worker's census blocks start at 1, 875, 1001 and 1097; the two sweeps are cut at 300
     assert census(1100, workers=1)[0] == scan_range(1, 300) + scan_range(301, 1100)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("n_max", [1, 95, 96, 97, 1100, 25000])
+def test_block_ends_cover_the_sides_in_guided_shares(n_max, workers):
+    ends = scan._block_ends(n_max, workers)
+    assert ends == sorted(set(ends)) and ends[-1] == n_max  # 1..n_max in order, no gaps
+    for lo, hi in zip([0, *ends], ends[:-1]):  # every block but the last; lo is the side before it
+        assert hi - lo >= scan.MIN_BLOCK
+        # modelled cost of sides lo+1..hi is hi^3 - lo^3: a 1/(2*workers) share or a minimum block
+        share = (hi**3 - lo**3) * 2 * workers >= n_max**3 - lo**3
+        assert share or hi - lo == scan.MIN_BLOCK, (lo, hi)
+
+
+def test_census_records_do_not_depend_on_the_workers(deadline):
+    # blocks start off any fixed grid, e.g. 1891 and 2279 for two workers at
+    # 3000, so the full mode's sweep states are handed out at new starts
+    for n_max in (1100, 3000):
+        full = scan_range(1, n_max)
+        for workers in (1, 2, 3):
+            assert census(n_max, workers=workers)[0] == full, (n_max, workers)
+            assert census(n_max, fast=True, workers=workers)[0] == [
+                r for r in full if r.n % 12 == 5], (n_max, workers)
+    serial = census(25000, fast=True, workers=1)
+    for workers in (2, 3):
+        assert census(25000, fast=True, workers=workers) == serial, workers
 
 
 def test_census_residue_filter():
@@ -54,8 +80,8 @@ def test_census_residue_filter():
 
 
 def test_fast_scan_equals_the_filtered_full_scan_at_every_edge():
-    # blocks start at 1 + 512j, so at 1, 9 or 5 mod 12: n_max past 512 and
-    # 1024 reaches the starts 513 and 1025 and _fast_block's first-side offset
+    # each n_max lays out its own blocks, so their starts take many residues
+    # mod 12 and exercise _fast_block's first-side offset
     full = scan_range(1, 1100)
     for n_max in [*range(1, 61), 511, 512, 513, 1024, 1025, 1100]:
         expected = [r for r in full if r.n <= n_max and r.n % 12 == 5]
@@ -89,7 +115,8 @@ def test_census_progress_after_every_block():
         seen = []
         census(1100, workers=workers,
                progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(512, 1100), (1024, 1100), (1100, 1100)]
+        assert seen == [(hi, 1100) for hi in scan._block_ends(1100, workers)]
+        assert seen == sorted(seen) and seen[-1] == (1100, 1100)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -105,7 +132,7 @@ def test_census_refuses_fewer_than_one_worker(workers, deadline, monkeypatch):
 
 
 def test_census_parallel_matches_serial():
-    serial = census(1300, workers=1)  # three 512-side blocks
+    serial = census(1300, workers=1)  # four blocks in process, six forked
     parallel = census(1300, workers=2)
     assert serial == parallel
 
@@ -114,9 +141,10 @@ def test_scan_pool_is_no_larger_than_its_blocks(pool_sizes):
     full = scan_range(1, 1100)
     assert census(1100, workers=64)[0] == full
     assert census(1100, fast=True, workers=64)[0] == [r for r in full if r.n % 12 == 5]
-    assert pool_sizes == [3, 3]  # three blocks of at most 512 sides
-    census(512, workers=64)  # one block runs in-process
-    assert pool_sizes == [3, 3]
+    blocks = len(scan._block_ends(1100, 64))
+    assert pool_sizes == [min(64, blocks)] * 2 == [11, 11]
+    census(scan.MIN_BLOCK, workers=64)  # one block runs in-process
+    assert pool_sizes == [11, 11]
 
 
 def test_census_defaults_to_the_cpus_it_may_run_on(monkeypatch, pool_sizes):
@@ -155,13 +183,15 @@ def _assert_no_child_left():
 
 
 def test_a_block_that_raises_in_a_worker_raises_and_leaves_no_child(monkeypatch, capfd, deadline):
-    def fails_at_513(lo, hi):
-        if lo == 513:
+    second = scan._block_ends(1100, 2)[0] + 1
+
+    def fails_on_the_second(lo, hi):
+        if lo == second:
             raise ValueError("no such block")
         return gf2poly._fast_block(lo, hi)
 
-    monkeypatch.setattr(scan, "_fast_block", fails_at_513)
-    with pytest.raises(RuntimeError, match="block 1"):
+    monkeypatch.setattr(scan, "_fast_block", fails_on_the_second)
+    with pytest.raises(RuntimeError, match="block 1$"):
         census(1100, fast=True, workers=2)
     _assert_no_child_left()
     assert "ValueError: no such block" in capfd.readouterr().err
