@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 usage or internal error, 2 unsolvable input.
 Identical calls print identical bytes, whether or not earlier calls ran in
 the same process; progress chatter goes to stderr only. A command that
 would build a grid wider than ``SIDE_CAP`` refuses, with exit 1, before it
-reads or builds anything of that size (``verify`` learns the side from the
-certificate it reads, and refuses before checking it); ``nullity``,
-``scan`` and ``mcp --brute`` build no such grid and take any side.
+reads or builds anything of that size (``verify`` reads at most a side-cap
+certificate's length, and refuses a wider side before checking it);
+``nullity``, ``scan`` and ``mcp --brute`` build no such grid and take any side.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ _LIST_LIMIT = 20  # print individual nullity-2 sides only for short lists
 # The widest grid a command builds. Side 1025 is the first whose kernel
 # printout passes 500 MB (d = 506); time and peak RSS below it are in CHANGES.md.
 SIDE_CAP = 1024
+# The longest certificate file read: one of side SIDE_CAP as to_json writes it,
+# two patterns of SIDE_CAP rows, each SIDE_CAP cells and a two-character escaped
+# newline, plus 4096 characters for its other fields, indentation and stored flags.
+_CERT_CHARS = 2 * SIDE_CAP * (SIDE_CAP + 2) + 4096
 
 
 def _check_side(side: int, what: str = "side") -> None:
@@ -36,8 +40,10 @@ def _read_pattern(path: str) -> gridmap.CellSet:
     """The pattern in ``path``, refused by its first line's length before the rest is read."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline(SIDE_CAP + 1)  # a row at the cap and its newline, or too long a row
-        _check_side(len(first.rstrip("\n")), "pattern side")
-        return gridmap.parse_pattern(first + fh.read())
+        n = len(first.rstrip("\n"))
+        _check_side(n, "pattern side")
+        # the n - 1 rows left of a side-n pattern, and one character that refuses a longer file
+        return gridmap.parse_pattern(first + fh.read((n - 1) * (n + 1) + 1))
 
 
 def _emit(cells: gridmap.CellSet, pbm: bool) -> str:
@@ -119,13 +125,16 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import json
-
     with open(args.file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and isinstance(doc.get("n"), int):
-        _check_side(doc["n"])  # before the two n x n patterns are parsed
-    cert = mcp.McpCertificate._from_doc(doc)
+        text = fh.read(_CERT_CHARS + 1)
+    if len(text) > _CERT_CHARS:  # longer than any certificate the cap admits: never decoded
+        import re
+
+        claimed = re.search(r'"n"\s*:\s*(\d+)', text)  # the side it names, for the message
+        _check_side(int(claimed[1]) if claimed else 0)
+        raise ValueError(f"certificate {args.file} is longer than one of side {SIDE_CAP}")
+    cert = mcp.McpCertificate.from_json(text)
+    _check_side(cert.n)
     if not mcp.verify_certificate(cert, check_min_clicks=True):
         raise ValueError(f"certificate {args.file} does not verify")
     print("verified")

@@ -9,14 +9,14 @@ one below a multiple of n monotone in k.
 
 On a grid with kernel dimension exactly 2 the three nonzero covers cut the
 board into four disjoint membership regions (every cell lies in either none
-or exactly two of the covers). They are built here, from the two basis
-vectors, and the mcp module's worst-case construction reads them.
+or exactly two of the covers): the kernel's four cell types, read here from
+``gridmap._cell_types`` as by the coset minimum and the mcp module.
 """
 
 from __future__ import annotations
 
 from .gf2poly import nullity
-from .gridmap import CellSet, _spaced_bits, apply_clicks, kernel_basis
+from .gridmap import CellSet, _cell_types, _spaced_bits, apply_clicks, kernel_basis
 
 __all__ = [
     "is_even_cover",
@@ -84,9 +84,8 @@ def region_partition(k: int) -> tuple[CellSet, CellSet, CellSet, CellSet]:
             f"{n}x{n} grid has nullity {d}, not 2; "
             "the four-region partition is undefined"
         )
-    a, b = (e.bits for e in kernel_basis(n))
-    pairs = sorted((a & ~b, a & b, b & ~a), key=lambda r: (r.bit_count(), r & -r))
+    types = dict(_cell_types(n, kernel_basis(n)))
+    pairs = sorted((types.get(t, 0) for t in (1, 2, 3)), key=lambda r: (r.bit_count(), r & -r))
     if [r.bit_count() for r in pairs] != [4 * k * k, 8 * k * k, 8 * k * k]:
         raise ValueError("cover intersections do not match the 4k^2 and 8k^2 region sizes")
-    r4 = ((1 << n * n) - 1) & ~(a | b)
-    return tuple(CellSet(n, r) for r in (*pairs, r4))  # type: ignore[return-value]
+    return tuple(CellSet(n, r) for r in (*pairs, types.get(0, 0)))  # type: ignore[return-value]

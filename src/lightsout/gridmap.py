@@ -41,9 +41,7 @@ n^2-bit integers.
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, islice
-from operator import xor
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "CellSet",
@@ -143,9 +141,9 @@ class KernelBasis(tuple):
     __slots__ = ()
 
     def span_nonzero(self) -> list[CellSet]:
-        """The 2^d - 1 nonzero kernel elements, Gray-code order; refused above ``NULLITY_CAP``."""
+        """The 2^d - 1 nonzero kernel elements, in ``_span`` order; refused above ``NULLITY_CAP``."""
         _check_nullity(len(self))
-        return [CellSet(self[0].n, v) for v in islice(_span(self, 0), 1, None)]
+        return [CellSet(self[0].n, v) for v in _span(self)[1:]]
 
 
 # -- click map ---------------------------------------------------------------
@@ -291,12 +289,12 @@ def solve_particular(config: CellSet) -> CellSet:
     return CellSet(config.n, _chase(config.n, config.bits, top)[0])
 
 
-def _span(basis: Iterable[CellSet], start: int) -> Iterator[int]:
-    """``start ^ e`` for every e in the span of ``basis``, by Gray code; callers cap d."""
-    flips: list[int] = []  # step i of a Gray code flips basis vector (trailing zeros of i)
-    for e in basis:
-        flips += [e.bits] + flips
-    return accumulate(flips, xor, initial=start)
+def _span(vectors: Iterable[CellSet]) -> list[int]:
+    """Entry c is the XOR of the vectors at the set bits of c, built by doubling; callers cap d."""
+    span = [0]
+    for e in vectors:
+        span += [x ^ e.bits for x in span]
+    return span
 
 
 def _solution_and_basis(config: CellSet) -> tuple[int, KernelBasis]:
@@ -316,10 +314,10 @@ def all_solutions(config: CellSet) -> list[CellSet]:
     when d exceeds ``NULLITY_CAP``.
     """
     cur, basis = _solution_and_basis(config)
-    return [CellSet(config.n, bits) for bits in _span(basis, cur)]
+    return [CellSet(config.n, cur ^ x) for x in _span(basis)]
 
 
-def lex_less(a: int, b: int) -> bool:
+def _lex_less(a: int, b: int) -> bool:
     """Whether bitset a sorts before b in row-major lexicographic order.
 
     At the first cell (lowest bit) where the two differ, the set without
@@ -353,23 +351,31 @@ def _lane_max(guard: int, width: int, x: int, y: int) -> int:
     return y ^ ((x ^ y) & (ge - (ge >> (width - 1))))
 
 
-def _half_span(vectors: Iterable[CellSet]) -> list[int]:
-    """Entry i is the XOR of the vectors at the set bits of i, built by doubling."""
-    span = [0]
-    for e in vectors:
-        span += [x ^ e.bits for x in span]
-    return span
+def _cell_types(n: int, basis: Iterable[CellSet]) -> list[tuple[int, int]]:
+    """The nonempty cell types (t, cells) of ``basis`` on the n-by-n board, type 0 kept.
+
+    The whole board is one class, and each basis vector e_j splits every
+    class into its cells in e_j (type bit j set) and the rest, so after d
+    splits the nonempty classes are the types present.
+    """
+    classes = [(0, (1 << (n * n)) - 1)]  # (type over the vectors split by so far, its cells)
+    for j, e in enumerate(basis):
+        split = []
+        for t, cells in classes:
+            if inside := cells & e.bits:
+                split.append((t | 1 << j, inside))
+            if inside != cells:
+                split.append((t, cells ^ inside))
+        classes = split
+    return classes
 
 
 def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:
     """Fewest cells in a member of s + span(``basis``), and the lex-smallest such member.
 
     Member c weighs |s| + (B - b^(c)) / 2 (module docstring), so the
-    lightest members are the c of the heaviest b^(c). The cell types come
-    from splitting classes: the whole n-by-n board is one class, and each
-    basis vector e_j splits every class into its cells in e_j (type bit j
-    set) and the rest, so after d splits the nonempty classes are the
-    types present, and b_t = |cells| - 2 |cells & s|. The transform is
+    lightest members are the c of the heaviest b^(c). With the cell types
+    of ``_cell_types``, b_t = |cells| - 2 |cells & s|. The transform is
     blocked: member index c splits into its low half c_lo (``low`` bits)
     and its high half c_hi. The 2^low values of c_lo are lanes of one
     integer, each wide enough for b^(c) plus a bias that keeps it
@@ -381,21 +387,12 @@ def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:
     block 0, and the transform of block 0 alone is every block. A
     guard-bit lane max over the blocks and then within the last gives the
     heaviest b^(c); a guard-bit threshold at it marks the tied lanes, and
-    only their members, s ^ lo[c_lo] ^ hi[c_hi] from two half-span
-    tables, are built and compared. Nothing walks the 2^d members, and
-    d = 0 is a one-lane transform whose one member is s.
+    only their members, s ^ lo[c_lo] ^ hi[c_hi] from the ``_span`` tables
+    of the basis's two halves, are built and compared. Nothing walks the
+    2^d members, and d = 0 is a one-lane transform whose one member is s.
     """
-    classes = [(0, (1 << (n * n)) - 1)]  # (type over the vectors split by so far, its cells)
-    for j, e in enumerate(basis):
-        split = []
-        for t, cells in classes:
-            if inside := cells & e.bits:
-                split.append((t | 1 << j, inside))
-            if inside != cells:
-                split.append((t, cells ^ inside))
-        classes = split
     # type 0, the cells in no basis vector, weighs the same in every member
-    b = {t: cells.bit_count() - 2 * (cells & s).bit_count() for t, cells in classes if t}
+    b = {t: cells.bit_count() - 2 * (cells & s).bit_count() for t, cells in _cell_types(n, basis) if t}
     d = len(basis)
     bias = sum(map(abs, b.values()))  # |b^(c)| <= bias
     width = (2 * bias).bit_length() + 1  # a lane holds b^(c) + bias below its guard bit
@@ -426,7 +423,7 @@ def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:
         keep = (1 << (width << k)) - 1
         top = _lane_max(guard & keep, width, top >> (width << k), top & keep)
     weight = s.bit_count() + (sum(b.values()) - (top - bias)) // 2
-    lo, hi = _half_span(basis[:low]), _half_span(basis[low:])
+    lo, hi = _span(basis[:low]), _span(basis[low:])
     best = None
     threshold = ((1 << (width - 1)) - top) * ones  # sets the guard bit of lanes >= top
     for c_hi, block in enumerate(blocks):
@@ -435,7 +432,7 @@ def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:
             bit = tied & -tied
             tied ^= bit
             cur = s ^ lo[bit.bit_length() // width - 1] ^ hi[c_hi]
-            if best is None or lex_less(cur, best):
+            if best is None or _lex_less(cur, best):
                 best = cur
     return weight, best
 

@@ -5,12 +5,12 @@ For kernel dimension 0 every configuration has a unique solution and the
 answer is the full board. For grids of side 6k-1 whose kernel dimension
 is 2, a minimal solution meets each nonzero cover in at most half its
 cells, which caps its overlap with the three regions the covers share
-pairwise (``covers.region_partition``) and gives 26k^2 - 12k + 1 clicks
-at most. Half of each of those regions plus all of the fourth attains
-the cap: the configuration it clicks has four solutions of exactly that
-weight. That configuration and its witness form a certificate that the
-bound is attained, trusted only once ``verify_certificate`` has
-recomputed it.
+pairwise, the nonzero cell types of ``gridmap._cell_types``, and gives
+26k^2 - 12k + 1 clicks at most. Half of each of them plus all of type 0,
+the cells no cover touches, attains the cap: the configuration it clicks
+has four solutions of exactly that weight. That configuration and its
+witness form a certificate that the bound is attained, trusted only
+once ``verify_certificate`` has recomputed it.
 
 An exhaustive oracle is included for small boards: the solvable
 configurations correspond one-to-one to canonical coset representatives
@@ -28,10 +28,11 @@ from __future__ import annotations
 from itertools import compress, repeat
 from typing import NamedTuple
 
-from .covers import is_even_cover, region_partition
+from .covers import is_even_cover
 from .gf2poly import nullity
 from .gridmap import (
     CellSet,
+    _cell_types,
     _span,
     apply_clicks,
     format_pattern,
@@ -102,7 +103,7 @@ def mcp_bruteforce(n: int) -> tuple[int, CellSet]:
             f"{BUDGET_BITS} bits"
         )
     kb = kernel_basis(n)
-    members = list(_span(kb, 0))
+    members = _span(kb)
     k = len(members)
     pivots = 0
     for e in kb:
@@ -205,11 +206,7 @@ class McpCertificate(NamedTuple):
         """Read a certificate; a stored ``certified`` or ``checks`` is ignored."""
         import json
 
-        return cls._from_doc(json.loads(text))
-
-    @classmethod
-    def _from_doc(cls, doc) -> McpCertificate:
-        """``from_json`` on the decoded document, the patterns parsed last."""
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("certificate JSON must be an object")
         return cls(
@@ -236,15 +233,15 @@ def _lowest_bits(bits: int, count: int) -> int:
 def worst_case_construct(k: int) -> McpCertificate:
     """Build a worst-case configuration certificate for the (6k-1)x(6k-1) grid.
 
-    Region R4 of ``covers.region_partition`` has 16k^2 - 12k + 1 cells;
-    R1, R2 and R3 have 4k^2, 8k^2 and 8k^2, and each cover is two of them.
+    Region R4, cell type 0, has 16k^2 - 12k + 1 cells; R1, R2 and R3, the
+    nonzero types, have 4k^2, 8k^2 and 8k^2, and each cover is two of them.
     A minimal solution x meets each cover in at most half its cells, so
     with a_t = |x & R_t| a_1 + a_2 <= 6k^2, a_1 + a_3 <= 6k^2 and
     a_2 + a_3 <= 8k^2. Summing, 2(a_1 + a_2 + a_3) <= 20k^2, so x has at
-    most 26k^2 - 12k + 1 cells. The witness, all of R4 and the first half
-    of each of R1, R2, R3 in row-major order, attains it: the region
-    sizes, which ``region_partition`` checks, make its weight the bound,
-    and every solution of its image has exactly that weight. If the
+    most 26k^2 - 12k + 1 cells. The witness, all of type 0 and the first
+    half of each nonzero type in row-major order, attains it: the region
+    sizes make its weight the bound, and every solution of its image has
+    exactly that weight, as ``verify_certificate`` rechecks. If the
     nullity is not 2 the bound still holds but the certificate is
     non-certifying, and no kernel is built.
     """
@@ -260,9 +257,9 @@ def worst_case_construct(k: int) -> McpCertificate:
             worst_config=None,
             witness=None,
         )
-    *pairs, x = (r.bits for r in region_partition(k))
-    for r in pairs:
-        x |= _lowest_bits(r, r.bit_count() // 2)
+    x = 0
+    for t, cells in _cell_types(n, kernel_basis(n)):
+        x |= _lowest_bits(cells, cells.bit_count() // 2) if t else cells
     witness = CellSet(n, x)
     return McpCertificate(
         k=k,
@@ -299,9 +296,13 @@ def verify_certificate(cert: McpCertificate, check_min_clicks: bool = False) -> 
     leads = {e.bits & -e.bits for e in basis} - {0}
     if len(basis) != cert.nullity or len(leads) != len(basis) or not all(map(is_even_cover, basis)):
         return False
-    # the walk starts at the witness: it and its three kernel translates weigh the claim
-    span = _span(basis, cert.witness.bits)
-    if any(x.bit_count() != cert.claimed_min for x in span):
+    # Member c of the witness's coset weighs |witness| + (B - b^(c)) / 2
+    # (``gridmap``'s docstring), and the transform is invertible, so every
+    # member weighs |witness| iff b = 0: the witness holds half of each
+    # nonzero type.
+    if len(cert.witness) != cert.claimed_min or not all(
+            2 * (cells & cert.witness.bits).bit_count() == cells.bit_count()
+            for t, cells in _cell_types(cert.n, basis) if t):
         return False
     if check_min_clicks:
         count, _ = min_clicks(cert.worst_config)

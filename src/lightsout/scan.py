@@ -130,7 +130,7 @@ def census(
     finally:
         if workers > 1:
             blocks.close()  # its children are reaped before census returns or raises
-    return records, verify_congruences(records)
+    return records, _verify_congruences(records)
 
 
 # -- reports -----------------------------------------------------------------
@@ -155,7 +155,7 @@ class CongruenceReport(NamedTuple):
         return lines
 
 
-def verify_congruences(records: Iterable[ScanRecord]) -> CongruenceReport:
+def _verify_congruences(records: Iterable[ScanRecord]) -> CongruenceReport:
     """Check n = 5 (mod 12), so also n odd and n = 5 (mod 6), at every d = 2 record."""
     twos = [rec for rec in records if rec.nullity == 2]
     return CongruenceReport(checked=len(twos),

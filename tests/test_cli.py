@@ -443,6 +443,41 @@ def test_side_cap_refuses_a_wide_certificate_before_parsing_its_patterns(capsys,
         1, "", f"error: side 2999 exceeds the side cap {cli.SIDE_CAP}\n")
 
 
+@pytest.mark.parametrize("argv", [["solve", "FILE"], ["solve", "--min", "FILE"], ["tile", "FILE", "5", "1"]],
+                         ids=" ".join)
+def test_a_pattern_file_is_read_no_further_than_its_first_line_allows(capsys, monkeypatch,
+                                                                      pattern_file, argv):
+    handed = []
+
+    def parse(text):
+        handed.append(len(text))
+        raise ValueError("stop")
+
+    monkeypatch.setattr(gridmap, "parse_pattern", parse)
+    for first_line, n in [("#", 1), ("....", 4), (".....", 5), ("." * cli.SIDE_CAP, cli.SIDE_CAP)]:
+        path = pattern_file(first_line + "\n" + "#" * (n * n + 100_000))
+        assert run(capsys, *(path if arg == "FILE" else arg for arg in argv)) == (1, "", "error: stop\n")
+        assert handed.pop() == n * (n + 1) + 1
+
+
+def test_verify_reads_no_more_than_a_certificate_of_the_cap_holds(capsys, monkeypatch, cert_k3):
+    full = gridmap.CellSet.full(cli.SIDE_CAP)
+    widest = McpCertificate(k=171, n=cli.SIDE_CAP, nullity=0, claimed_min=0,
+                            worst_config=full, witness=full)
+    assert len(widest.to_json()) <= cli._CERT_CHARS
+    text = cert_k3.read_text()
+    cert_k3.write_text(text + " " * (cli._CERT_CHARS - len(text)))  # at the limit: read and checked
+    assert run(capsys, "verify", str(cert_k3)) == (0, "verified\n", "")
+
+    def refuse(text):
+        raise AssertionError(f"{len(text)} characters decoded")
+
+    monkeypatch.setattr(McpCertificate, "from_json", refuse)
+    cert_k3.write_text(text + " " * (cli._CERT_CHARS + 1 - len(text)))
+    assert run(capsys, "verify", str(cert_k3)) == (
+        1, "", f"error: certificate {cert_k3} is longer than one of side {cli.SIDE_CAP}\n")
+
+
 def test_side_cap_admits_the_cap_itself(capsys, monkeypatch):
     monkeypatch.setattr(gridmap, "kernel_basis", lambda n: ())
     assert run(capsys, "kernel", str(cli.SIDE_CAP)) == (0, "(empty kernel)\n", "")

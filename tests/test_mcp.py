@@ -80,7 +80,7 @@ def test_bruteforce_answers_are_pinned_bit_for_bit():
 
 
 def test_bruteforce_tie_break_matches_a_scan_of_every_representative():
-    # the lex-smallest best representative, found without PINNED or lex_less
+    # the lex-smallest best representative, found without PINNED or _lex_less
     rep = naive.lex_smallest_worst_representative(4)
     assert mcp_bruteforce(4)[1] == apply_clicks(CellSet(4, rep))
     assert min_clicks(mcp_bruteforce(5)[1])[0] == 15
@@ -338,6 +338,23 @@ def test_verify_checks_the_kernel_basis_before_walking_it(monkeypatch, forge):
     assert not verify_certificate(cert)
     real = mcp.kernel_basis
     monkeypatch.setattr(mcp, "kernel_basis", lambda n: forge(real(n)))
+    assert not verify_certificate(cert)
+    assert not verify_certificate(cert, check_min_clicks=True)
+
+
+def test_verify_rejects_a_witness_of_the_claimed_weight_off_half_a_region():
+    # one witness cell moved from R1 to R2: the weight and the image stay
+    # consistent, but the witness is no longer half of each nonzero type
+    cert = worst_case_construct(3)
+    r1, r2, _, _ = (r.bits for r in covers.region_partition(3))
+    x = cert.witness.bits
+    out, into = x & r1, r2 & ~x
+    x ^= (out & -out) | (into & -into)
+    forged = CellSet(17, x)
+    cert = cert._replace(witness=forged, worst_config=apply_clicks(forged))
+    assert len(forged) == cert.claimed_min == 199
+    weights = {(x ^ e).bit_count() for e in naive.kernel_span_naive(17)}
+    assert min(weights) < 199
     assert not verify_certificate(cert)
     assert not verify_certificate(cert, check_min_clicks=True)
 

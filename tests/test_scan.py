@@ -15,7 +15,7 @@ from lightsout.scan import (
     check_conjecture_2_3k,
     read_records_csv,
     scan_range,
-    verify_congruences,
+    _verify_congruences,
     write_records_csv,
 )
 
@@ -276,7 +276,7 @@ def test_census_progress_reaches_total():
 # -- reports -------------------------------------------------------------------
 
 def test_congruence_report_clean():
-    report = verify_congruences([ScanRecord(5, 2), ScanRecord(6, 0), ScanRecord(17, 2)])
+    report = _verify_congruences([ScanRecord(5, 2), ScanRecord(6, 0), ScanRecord(17, 2)])
     assert report.ok
     assert report.checked == 2
     assert any("all hold" in line for line in report.summary_lines())
@@ -285,7 +285,7 @@ def test_congruence_report_clean():
 def test_congruence_report_flags_violations():
     # fabricated nullity-2 records: n=7 is odd but 1 mod 6, n=4 is even;
     # neither is 5 mod 12
-    report = verify_congruences([ScanRecord(7, 2), ScanRecord(4, 2)])
+    report = _verify_congruences([ScanRecord(7, 2), ScanRecord(4, 2)])
     assert not report.ok
     assert report.checked == 2
     assert report.violations == (ScanRecord(7, 2), ScanRecord(4, 2))
@@ -297,7 +297,7 @@ def test_congruence_report_flags_violations():
 
 
 def test_congruences_ignore_other_nullities():
-    report = verify_congruences([ScanRecord(4, 4), ScanRecord(9, 8)])
+    report = _verify_congruences([ScanRecord(4, 4), ScanRecord(9, 8)])
     assert report.ok and report.checked == 0
 
 

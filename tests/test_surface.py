@@ -7,6 +7,7 @@ adding one is a visible choice. The record and report classes are
 immutable values: equal fields make equal, equally hashed objects.
 """
 
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -57,6 +58,14 @@ def test_defaulted_parameters_are_exactly_the_settings():
 def test_every_public_name_has_a_reader():
     words = set(re.findall(r"\w+", "".join(path.read_text(encoding="utf-8") for path in READERS)))
     assert [name for name in lightsout.__all__ if name not in words] == []
+
+
+@pytest.mark.parametrize("module", ["cli", "covers", "gf2poly", "gridmap", "mcp", "scan"])
+def test_every_public_function_is_in_its_modules_all(module):
+    mod = importlib.import_module(f"lightsout.{module}")
+    defined = [name for name, obj in vars(mod).items()
+               if inspect.isfunction(obj) and obj.__module__ == mod.__name__]
+    assert [name for name in defined if not name.startswith("_") and name not in mod.__all__] == []
 
 
 def test_scan_has_no_jsonl_flag(capsys):
