@@ -128,10 +128,6 @@ def _cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read(_CERT_CHARS + 1)
     if len(text) > _CERT_CHARS:  # longer than any certificate the cap admits: never decoded
-        import re
-
-        claimed = re.search(r'"n"\s*:\s*(\d+)', text)  # the side it names, for the message
-        _check_side(int(claimed[1]) if claimed else 0)
         raise ValueError(f"certificate {args.file} is longer than one of side {SIDE_CAP}")
     cert = mcp.McpCertificate.from_json(text)
     _check_side(cert.n)

@@ -33,7 +33,7 @@ x*(A + x*B) = y*B + x*(A + B), so
 
 from f_1 = (1, 0) and f_2 = (0, 1); ``<< 1`` multiplies by y.
 
-Two routes compute d(n); they share ``poly_gcd``, the lemma and the
+Two routes compute d(n); they share ``_poly_gcd``, the lemma and the
 recurrence step above (``_y_sweep``). ``nullity_range`` takes one GCD
 for every side of a block, over one sweep of that recurrence from f_1;
 a full census block (``_sweep_block``) resumes it at its first side.
@@ -66,10 +66,10 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable
 
-__all__ = ["poly_gcd", "nullity", "nullity_range"]
+__all__ = ["nullity", "nullity_range"]
 
 
-def poly_gcd(a: int, b: int) -> int:
+def _poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor; not defined when both arguments are zero."""
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
@@ -125,7 +125,7 @@ def nullity(n: int) -> int:
         n = m - 1
     if n:
         a_m, b_m, a_m1, b_m1 = _fib_pair_y(n // 2)
-        d += 4 * scale * (poly_gcd(a_m ^ a_m1, b_m ^ b_m1).bit_length() - 1)
+        d += 4 * scale * (_poly_gcd(a_m ^ a_m1, b_m ^ b_m1).bit_length() - 1)
     return d
 
 
@@ -155,7 +155,7 @@ def _y_sweep(a0: int = 1, b0: int = 0, a1: int = 0, b1: int = 1):
 def _sweep_block(lo: int, hi: int, include: Callable[[int], bool] | None,
                  state: tuple[int, int, int, int]) -> list[tuple[int, int]]:
     """``nullity_range`` resuming the sweep at ``state``, the y-forms of (f_lo, f_{lo+1})."""
-    return [(n, 2 * (poly_gcd(a, b).bit_length() - 1))
+    return [(n, 2 * (_poly_gcd(a, b).bit_length() - 1))
             for n, (_, _, a, b) in zip(range(lo, hi + 1), _y_sweep(*state))
             if include is None or include(n)]
 
@@ -166,5 +166,5 @@ def _fast_block(lo: int, hi: int) -> list[tuple[int, int]]:
     steps a side take m to m + 3."""
     first = lo + (5 - lo) % 12
     states = islice(_y_sweep(*_fib_pair_y((first - 1) // 4)), 0, None, 3)
-    return [(n, 2 + 8 * (poly_gcd(a0 ^ a1, b0 ^ b1).bit_length() - 1))
+    return [(n, 2 + 8 * (_poly_gcd(a0 ^ a1, b0 ^ b1).bit_length() - 1))
             for n, (a0, b0, a1, b1) in zip(range(first, hi + 1, 12), states)]

@@ -35,7 +35,7 @@ Walsh-Hadamard transform of b (MacWilliams & Sloane, "The Theory of
 Error-Correcting Codes", 1977, ch. 5). One count of the cell types, by
 d splits of the board into classes, and one transform of length 2^d weigh
 every member, where a walk over the coset does 2^d XORs and popcounts of
-n^2-bit integers.
+n^2-bit integers. Over the basis reversed, index order is lex order.
 """
 
 from __future__ import annotations
@@ -317,23 +317,13 @@ def all_solutions(config: CellSet) -> list[CellSet]:
     return [CellSet(config.n, cur ^ x) for x in _span(basis)]
 
 
-def _lex_less(a: int, b: int) -> bool:
-    """Whether bitset a sorts before b in row-major lexicographic order.
-
-    At the first cell (lowest bit) where the two differ, the set without
-    it sorts first, as '.' sorts before '#' in the pattern format.
-    """
-    d = a ^ b
-    return d != 0 and not a & d & -d
-
-
 def min_clicks(config: CellSet) -> tuple[int, CellSet]:
     """Fewest clicks solving ``config``, with a witness click set.
 
     Searches the whole solution coset (refused above ``NULLITY_CAP``) at
-    every nullity by ``_coset_minimum``'s transform, which builds only the
-    tied minima; among equal-weight minima the witness is the
-    lexicographically smallest bitset in row-major order.
+    every nullity by ``_coset_minimum``'s transform, which builds one
+    member: among equal-weight minima, the lexicographically smallest
+    bitset in row-major order.
     """
     cur, basis = _solution_and_basis(config)
     best_w, best = _coset_minimum(config.n, basis, cur)
@@ -374,25 +364,35 @@ def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:
     """Fewest cells in a member of s + span(``basis``), and the lex-smallest such member.
 
     Member c weighs |s| + (B - b^(c)) / 2 (module docstring), so the
-    lightest members are the c of the heaviest b^(c). With the cell types
-    of ``_cell_types``, b_t = |cells| - 2 |cells & s|. The transform is
-    blocked: member index c splits into its low half c_lo (``low`` bits)
-    and its high half c_hi. The 2^low values of c_lo are lanes of one
-    integer, each wide enough for b^(c) plus a bias that keeps it
-    nonnegative, and one integer, a block, stands for each c_hi. Level 1
-    sets block t_hi to the transform over c_lo of the types with high half
-    t_hi: the sum of b_t (1 - 2 [<c_lo, t_lo> odd]), by parity patterns
-    built by doubling. Level 2 is the butterfly (u + v, u - v) over the
-    block list, whose lanes then read b^(c) + bias: the bias was put in
-    block 0, and the transform of block 0 alone is every block. A
+    lightest members are the c of the heaviest b^(c), with b_t =
+    |cells| - 2 |cells & s| over the cell types of the basis reversed:
+    index c, written as d binary digits, is the string (c_0, ..., c_(d-1)).
+    Two members first differ at the leading cell of e_j for the first j
+    where their strings differ, since no other e_i holds that cell and
+    every e_i with i > j lies above it; s is clear there, so the one with
+    c_j = 0 sorts first, and lex order is index order. That needs the
+    basis reduced and sorted and s canonical, as
+    ``test_kernel_basis_is_reduced_and_sorted``,
+    ``test_solve_particular_is_canonical`` and
+    ``test_solve_particular_at_599_is_canonical`` pin.
+
+    The transform is blocked: index c splits into its low half c_lo
+    (``low`` bits) and its high half c_hi. The 2^low values of c_lo are
+    lanes of one integer, each wide enough for b^(c) plus a bias that
+    keeps it nonnegative, and one integer, a block, stands for each c_hi.
+    Level 1 sets block t_hi to the transform over c_lo of the types with
+    high half t_hi: the sum of b_t (1 - 2 [<c_lo, t_lo> odd]), by parity
+    patterns built by doubling. Level 2 is the butterfly (u + v, u - v)
+    over the block list, whose lanes then read b^(c) + bias: the bias was
+    put in block 0, and the transform of block 0 alone is every block. A
     guard-bit lane max over the blocks and then within the last gives the
-    heaviest b^(c); a guard-bit threshold at it marks the tied lanes, and
-    only their members, s ^ lo[c_lo] ^ hi[c_hi] from the ``_span`` tables
-    of the basis's two halves, are built and compared. Nothing walks the
-    2^d members, and d = 0 is a one-lane transform whose one member is s.
+    heaviest b^(c); a guard-bit threshold at it marks the tied lanes. The
+    lowest tied lane of the first block with one is the least tied index,
+    and only its member is built. Nothing walks the 2^d members, and
+    d = 0 is a one-lane transform whose one member is s.
     """
     # type 0, the cells in no basis vector, weighs the same in every member
-    b = {t: cells.bit_count() - 2 * (cells & s).bit_count() for t, cells in _cell_types(n, basis) if t}
+    b = {t: cells.bit_count() - 2 * (cells & s).bit_count() for t, cells in _cell_types(n, basis[::-1]) if t}
     d = len(basis)
     bias = sum(map(abs, b.values()))  # |b^(c)| <= bias
     width = (2 * bias).bit_length() + 1  # a lane holds b^(c) + bias below its guard bit
@@ -423,18 +423,14 @@ def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:
         keep = (1 << (width << k)) - 1
         top = _lane_max(guard & keep, width, top >> (width << k), top & keep)
     weight = s.bit_count() + (sum(b.values()) - (top - bias)) // 2
-    lo, hi = _span(basis[:low]), _span(basis[low:])
-    best = None
     threshold = ((1 << (width - 1)) - top) * ones  # sets the guard bit of lanes >= top
-    for c_hi, block in enumerate(blocks):
-        tied = (block + threshold) & guard
-        while tied:
-            bit = tied & -tied
-            tied ^= bit
-            cur = s ^ lo[bit.bit_length() // width - 1] ^ hi[c_hi]
-            if best is None or _lex_less(cur, best):
-                best = cur
-    return weight, best
+    c_hi, tied = next((c_hi, tied) for c_hi, block in enumerate(blocks)
+                      if (tied := (block + threshold) & guard))
+    c = c_hi << low | ((tied & -tied).bit_length() // width - 1)
+    for digit, e in zip(f"{c:0{d}b}", basis):  # c_0 first
+        if digit == "1":
+            s ^= e.bits
+    return weight, s
 
 
 # -- pattern text format -----------------------------------------------------

@@ -206,7 +206,10 @@ class McpCertificate(NamedTuple):
         """Read a certificate; a stored ``certified`` or ``checks`` is ignored."""
         import json
 
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON nests too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("certificate JSON must be an object")
         return cls(

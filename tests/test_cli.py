@@ -378,6 +378,8 @@ def test_verify_rejects_broken_json_and_missing_files(capsys, cert_k3, tmp_path)
     cert_k3.write_text(cert_k3.read_text()[:-20])
     code, out, err = run(capsys, "verify", str(cert_k3))
     assert (code, out) == (1, "") and err.startswith("error: ")
+    cert_k3.write_text("[" * 5000)  # past the decoder's recursion limit: one line, no traceback
+    assert run(capsys, "verify", str(cert_k3)) == (1, "", "error: certificate JSON nests too deeply\n")
     code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert (code, out) == (1, "") and "No such file" in err
 
@@ -440,7 +442,7 @@ def test_side_cap_refuses_a_wide_certificate_before_parsing_its_patterns(capsys,
     path.write_text(json.dumps({"k": 500, "n": 2999, "nullity": 2, "claimed_min": 1,
                                 "worst_config": rows, "witness": rows}))
     assert run(capsys, "verify", str(path)) == (
-        1, "", f"error: side 2999 exceeds the side cap {cli.SIDE_CAP}\n")
+        1, "", f"error: certificate {path} is longer than one of side {cli.SIDE_CAP}\n")
 
 
 @pytest.mark.parametrize("argv", [["solve", "FILE"], ["solve", "--min", "FILE"], ["tile", "FILE", "5", "1"]],

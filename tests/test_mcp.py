@@ -291,6 +291,7 @@ def _k1_doc(**changes):
         pytest.param(_k1_doc(witness=""), "'witness' is malformed", id="witness-empty-text"),
         pytest.param(_k1_doc(worst_config=[]), "'worst_config' is malformed",
                      id="config-empty-list"),
+        pytest.param("[" * 100_001, "nests too deeply", id="deep-nesting"),
     ],
 )
 def test_from_json_rejects_malformed_input(text, message):

@@ -2,9 +2,10 @@
 
 A public name stays public only if the CLI, the benchmark or the
 acceptance checklist reads it. A defaulted parameter is a setting; every
-one should have a caller that sets it. This list pins the whole set, so
-adding one is a visible choice. The record and report classes are
-immutable values: equal fields make equal, equally hashed objects.
+one should have a caller that sets it. Two literal sets pin the public
+names and the settings, so adding or dropping one is a visible choice.
+The record and report classes are immutable values: equal fields make
+equal, equally hashed objects.
 """
 
 import importlib
@@ -23,6 +24,15 @@ from lightsout.scan import CongruenceReport, ConjectureEntry, ConjectureReport, 
 ROOT = Path(__file__).resolve().parents[1]
 READERS = [ROOT / "src" / "lightsout" / "cli.py", *sorted((ROOT / "perfbench").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
+
+PUBLIC = {
+    "CellSet", "McpCertificate", "UnsolvableError",
+    "all_solutions", "apply_clicks", "census", "check_conjecture_2_3k", "format_pattern",
+    "format_pbm", "is_even_cover", "is_solvable", "kernel_basis", "mcp_bruteforce",
+    "mcp_formula", "min_clicks", "nullity", "nullity_range", "parse_pattern",
+    "read_records_csv", "region_partition", "scan_range", "solve_particular", "tile_cover",
+    "verify_certificate", "worst_case_construct", "write_records_csv",
+}
 
 DEFAULTED = {
     ("nullity_range", "include"),
@@ -43,6 +53,11 @@ def _public_callables():
             member = getattr(obj, attr)
             if (attr == "__init__" or not attr.startswith("_")) and callable(member):
                 yield f"{name}.{attr}", member
+
+
+def test_public_names_are_exactly_the_pinned_set():
+    assert len(lightsout.__all__) == len(set(lightsout.__all__))
+    assert set(lightsout.__all__) == PUBLIC
 
 
 def test_defaulted_parameters_are_exactly_the_settings():
