@@ -32,16 +32,16 @@ t iff s does, flipped when <c, t> is odd, so it weighs
 
 with B the sum of the b_t and b^(c) = sum of b_t (-1)^<c, t> the
 Walsh-Hadamard transform of b (MacWilliams & Sloane, "The Theory of
-Error-Correcting Codes", 1977, ch. 5). One count of the cell types, by
-d splits of the board into classes, and one transform of length 2^d weigh
-every member, where a walk over the coset does 2^d XORs and popcounts of
+Error-Correcting Codes", 1977, ch. 5). A depth-first count of the cell
+types, holding at most d + 1 classes, and one transform of length 2^d
+weigh every member, where a coset walk does 2^d XORs and popcounts of
 n^2-bit integers. Over the basis reversed, index order is lex order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "CellSet",
@@ -341,23 +341,23 @@ def _lane_max(guard: int, width: int, x: int, y: int) -> int:
     return y ^ ((x ^ y) & (ge - (ge >> (width - 1))))
 
 
-def _cell_types(n: int, basis: Iterable[CellSet]) -> list[tuple[int, int]]:
+def _cell_types(n: int, basis: Iterable[CellSet]) -> Iterator[tuple[int, int]]:
     """The nonempty cell types (t, cells) of ``basis`` on the n-by-n board, type 0 kept.
 
-    The whole board is one class, and each basis vector e_j splits every
-    class into its cells in e_j (type bit j set) and the rest, so after d
-    splits the nonempty classes are the types present.
+    Depth first: e_j splits a class into its cells in e_j (type bit j set)
+    and the rest. One half goes on to its type, yielded at once, and the
+    other waits on the stack, so at most d + 1 classes are held.
     """
-    classes = [(0, (1 << (n * n)) - 1)]  # (type over the vectors split by so far, its cells)
-    for j, e in enumerate(basis):
-        split = []
-        for t, cells in classes:
-            if inside := cells & e.bits:
-                split.append((t | 1 << j, inside))
-            if inside != cells:
-                split.append((t, cells ^ inside))
-        classes = split
-    return classes
+    vectors = [e.bits for e in basis]
+    stack = [(0, 0, (1 << (n * n)) - 1)]  # (next vector to split by, type so far, its cells)
+    while stack:
+        i, t, cells = stack.pop()
+        for j in range(i, len(vectors)):
+            if inside := cells & vectors[j]:
+                if inside != cells:
+                    stack.append((j + 1, t, cells ^ inside))
+                t, cells = t | 1 << j, inside
+        yield t, cells
 
 
 def _coset_minimum(n: int, basis: KernelBasis, s: int) -> tuple[int, int]:

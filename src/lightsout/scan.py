@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 MIN_BLOCK = 96
+MAX_WORKERS = 64  # the most children census forks: 11-13 MB peak RSS each, under 1 GB in all
 
 
 def _block_ends(n_max: int, workers: int) -> list[int]:
@@ -90,21 +91,23 @@ def census(
 
     ``fast`` computes only the sides n = 5 (mod 12), where the halving
     identities place every four-element kernel; the full mode scans every
-    side. Blocks run on up to ``workers`` forked processes (default: one
-    per CPU this process may run on), never more than there are blocks,
-    each taking the next block when free; without ``os.fork`` they run
-    in this process. ``progress`` is called with (sides done, sides
-    total) after every block, in order of n; the first block holds a
-    1/(2*workers) share of the cost, so the first call comes late. The
-    blocks depend on the worker count; the records, sorted by n, do not.
+    side. Blocks run on up to ``workers`` <= ``MAX_WORKERS`` forked
+    processes (default: one per CPU this process may run on), never more
+    than there are blocks, each taking the next block when free; without
+    ``os.fork`` they run in this process. ``progress`` is called with (sides
+    done, sides total) after every block, in order of n; the first block
+    holds a 1/(2*workers) share of the cost, so the first call comes late.
+    The blocks depend on the worker count; the records, sorted by n, do not.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+        workers = min(MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
     if workers < 1:
         raise ValueError("need workers >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers {workers} exceeds the worker cap {MAX_WORKERS}")
     if not hasattr(os, "fork"):
         workers = 1
     ends = _block_ends(n_max, workers)

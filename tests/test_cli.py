@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lightsout import McpCertificate, cli, covers, gridmap, mcp, read_records_csv, verify_certificate
+from lightsout import McpCertificate, cli, covers, gridmap, mcp, read_records_csv, scan, verify_certificate
 from lightsout.cli import main
 
 
@@ -315,6 +315,17 @@ def test_scan_unwritable_out_fails_before_the_scan(capsys, tmp_path):
     assert code == 1 and out == ""
     assert "No such file or directory" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_scan_refuses_workers_above_the_cap_before_forking(capsys, monkeypatch):
+    def fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    cap = scan.MAX_WORKERS
+    code, out, err = run(capsys, "scan", "25000", "--workers", str(cap + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: workers {cap + 1} exceeds the worker cap {cap}\n"
 
 
 def test_scan_fast_mode(capsys):

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -169,14 +170,30 @@ def test_span_nonzero_count():
 
 
 def test_cell_types_match_oracle():
-    for n in range(1, 41):
+    # every side <= 40 with 0 < d <= 20, then 92 (d = 20) and 101 (d = 18),
+    # the highest-d sides `solve --min` meets in the benchmark's queries
+    for n in [*range(1, 41), 92, 101]:
         basis = kernel_basis(n)
         if not 0 < len(basis) <= gridmap.NULLITY_CAP:
             continue
         masks = naive.cell_types_naive(n, [e.bits for e in basis])
         expect = {t: cells for t, cells in enumerate(masks) if cells}
-        types = gridmap._cell_types(n, basis)
+        types = list(gridmap._cell_types(n, basis))
         assert dict(types) == expect and len(types) == len(expect), n
+
+
+def test_cell_types_hold_few_classes_at_once():
+    # at most d + 1 = 21 classes of 362^2 bits (16 KB each) are live; holding
+    # one class per type, 885 of them, would trace well over 10 MB
+    basis = kernel_basis(362)
+    tracemalloc.start()
+    try:
+        counts = {t: cells.bit_count() for t, cells in gridmap._cell_types(362, basis)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(basis), len(counts), sum(counts.values())) == (20, 885, 362 * 362)
+    assert peak < 1_000_000
 
 
 # nonempty nonzero cell types on the d = 8 sides up to 120

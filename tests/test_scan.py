@@ -131,6 +131,27 @@ def test_census_refuses_fewer_than_one_worker(workers, deadline, monkeypatch):
             census(1100, fast=fast, workers=workers)
 
 
+def test_census_refuses_more_workers_than_its_cap(monkeypatch):
+    def started(*args):
+        raise AssertionError("the census started before the worker count was checked")
+
+    for name in ("_block_ends", "_sweep_block", "_fast_block"):
+        monkeypatch.setattr(scan, name, started)
+    monkeypatch.setattr(os, "fork", started)
+    monkeypatch.setattr(_forkmap, "forked_map", started)
+    cap = scan.MAX_WORKERS
+    for fast in (False, True):
+        with pytest.raises(ValueError, match=f"workers {cap + 1} exceeds the worker cap {cap}"):
+            census(25000, fast=fast, workers=cap + 1)
+
+
+def test_census_clamps_its_default_workers_to_the_cap(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4 * scan.MAX_WORKERS)))
+    assert len(scan._block_ends(10000, scan.MAX_WORKERS)) > scan.MAX_WORKERS
+    census(10000, fast=True)
+    assert pool_sizes == [scan.MAX_WORKERS]
+
+
 def test_census_parallel_matches_serial():
     serial = census(1300, workers=1)  # four blocks in process, six forked
     parallel = census(1300, workers=2)
