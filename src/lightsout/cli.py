@@ -1,12 +1,13 @@
 """Command-line interface, whose grammar is the table ``_COMMANDS``.
 
-Exit codes: 0 success, 1 usage or internal error, 2 unsolvable input.
+Exit codes: 0 success, 1 usage or internal error, 2 unsolvable input, and
+143 on SIGTERM to the program (``argv`` None), once forked workers are reaped.
 Identical calls print identical bytes, whether or not earlier calls ran in
-the same process; progress chatter goes to stderr only. A command that
-would build a grid wider than ``SIDE_CAP`` refuses, with exit 1, before it
-reads or builds anything of that size (``verify`` reads at most a side-cap
-certificate's length, and refuses a wider side before checking it);
-``nullity``, ``scan`` and ``mcp --brute`` build no such grid and take any side.
+the same process; progress chatter goes to stderr only. With exit 1, before
+anything of that size is read or built, a command refuses a grid wider than
+``SIDE_CAP`` (``verify`` reads at most a side-cap certificate's length), and
+``nullity``, ``scan`` and ``mcp --brute`` a side that doubles past
+``gf2poly.DOUBLING_CAP``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .gridmap import UnsolvableError
 __all__ = ["main"]
 
 _LIST_LIMIT = 20  # print individual nullity-2 sides only for short lists
-# The widest grid a command builds. Side 1025 is the first whose kernel
-# printout passes 500 MB (d = 506); time and peak RSS below it are in CHANGES.md.
+# The widest grid a command builds. Under it, `kernel 991` (d = 640) is the
+# slowest command: 5.5-6.2 s and 97-98 MB peak RSS for a 629,166,719-byte printout
+# (2 vCPUs, Python 3.11.7); the printouts at 1019, 1021, 1022 and 1024 pass 500 MB.
 SIDE_CAP = 1024
 # The longest certificate file read: one of side SIDE_CAP as to_json writes it,
 # two patterns of SIDE_CAP rows, each SIDE_CAP cells and a two-character escaped
@@ -270,6 +272,10 @@ def _usage(command: str | None) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:  # run as the program: SIGTERM unwinds, so the fork map reaps its workers
+        import signal  # loaded only here: in-process callers keep their own handlers
+
+        signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     try:
         run, args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:

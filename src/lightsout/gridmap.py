@@ -16,10 +16,13 @@ therefore solvable iff M*c equals its residual for some c, and the chases
 of M's null vectors are the kernel: the n^2 x n^2 click matrix is never
 formed, only the n x n matrix M, reduced once per grid size and cached.
 
-M's columns are reduced last to first, so pivot first rows touch only
-pivot columns and a null first row is e_j plus pivot columns above j. One
-elimination thus gives the kernel's reduced row-echelon first rows, and
-solutions clear on every kernel leading cell.
+Column j of M is the residual of the first row e_j. M = f_{n+1}(T)
+commutes with T, and T e_j = e_{j-1} + e_j + e_{j+1}, so M e_{j-1} =
+(T + I) M e_j + M e_{j+1}, with M e_n = 0: one chase and n row steps give
+the columns, each reduced as it comes, last to first. Pivot first rows
+thus touch only pivot columns and a null first row is e_j plus pivot
+columns above j: one elimination gives the kernel's reduced row-echelon
+first rows, and solutions clear on every kernel leading cell.
 
 The fewest clicks solving a board is the lightest member of a coset
 s + K, with s the canonical solution and K the kernel, of basis
@@ -217,34 +220,28 @@ def _reduce(pivots: dict[int, int], v: int) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _residual_matrix(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
-    """The residual matrix M of the n-by-n grid, reduced.
+    """The residual matrix M = f_{n+1}(T) of the n-by-n grid, reduced.
 
-    Column j of M is the residual of clicking cell (0, j) alone and
-    chasing, so M = f_{n+1}(T) for the row's click map T. Returns the
-    pivots {leading bit: (M*t << n) | t} for first rows t, one integer a
-    row so that a step of elimination is one XOR, and a basis of the
-    first rows t with M*t = 0: the rows whose high half reduces to 0.
-    Column j = n-1 down to 0 is reduced by the pivots above it, so a
-    pivot's t touches only pivot columns and a null t is bit j plus pivot
-    columns above j: the null t come out in reduced row-echelon form by
-    lowest bit, sorted.
+    Returns the pivots {leading bit: (M*t << n) | t} for first rows t, one
+    integer a row so that a step of elimination is one XOR, and the null
+    first rows t (M*t = 0: the high half reduces to 0), in reduced
+    row-echelon form by lowest bit, sorted (module docstring).
     """
-    # Chase all n unit first rows at once: block j of an n*n-bit integer
-    # (the cells of "row" j) holds the chase from cell (0, j), so a step
-    # of the row recurrence is the horizontal part of the click map plus
-    # the blocks two steps back.
-    _, not_first, not_last = _masks(n)
-    prev, cur = 0, _spaced_bits(n + 1, n)  # the identity: bit j of block j
-    for _ in range(n):
-        prev, cur = cur, cur ^ ((cur << 1) & not_first) ^ ((cur >> 1) & not_last) ^ prev
+    # Column n-1 is one chase from the first row e_(n-1). M, a polynomial in
+    # T, commutes with it, and T e_j = e_(j-1) + e_j + e_(j+1) with e_n = 0, so
+    # M e_(j-1) = (T + I) M e_j + M e_(j+1): each column below is one row step,
+    # column j shifted both ways plus column j+1.
+    mask = (1 << n) - 1
+    prev, cur = 0, _chase(n, 0, 1 << (n - 1))[1]
     pivots: dict[int, int] = {}
     null = []
     for j in reversed(range(n)):
-        row = _reduce(pivots, ((cur >> (j * n)) & ((1 << n) - 1)) << n | 1 << j)
+        row = _reduce(pivots, cur << n | 1 << j)
         if row >> n:
             pivots[row.bit_length() - 1] = row
         else:
             null.append(row)
+        prev, cur = cur, ((cur << 1) & mask) ^ (cur >> 1) ^ prev
     return pivots, tuple(reversed(null))
 
 

@@ -31,7 +31,7 @@ import os
 from itertools import repeat, starmap
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .gf2poly import _fast_block, _sweep_block, _y_sweep, nullity, nullity_range
+from .gf2poly import DOUBLING_CAP, _fast_block, _sweep_block, _y_sweep, nullity, nullity_range
 
 __all__ = [
     "scan_range",
@@ -98,9 +98,12 @@ def census(
     done, sides total) after every block, in order of n; the first block
     holds a 1/(2*workers) share of the cost, so the first call comes late.
     The blocks depend on the worker count; the records, sorted by n, do not.
+    An n_max past 4 * ``DOUBLING_CAP`` + 4 is refused before any block or fork.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if (m := (n_max - 1) // 4) > DOUBLING_CAP:  # the last fast block doubles to at most m
+        raise ValueError(f"n_max {n_max} doubles to f_{m}, past the doubling cap {DOUBLING_CAP}")
     if workers is None:
         workers = min(MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1)

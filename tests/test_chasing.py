@@ -12,11 +12,12 @@ import random
 
 import pytest
 
-from lightsout.cli import main
+from lightsout.cli import SIDE_CAP, main
 from lightsout.covers import is_even_cover
 from lightsout.gf2poly import nullity
 from lightsout.gridmap import (
     CellSet,
+    _residual_matrix,
     apply_clicks,
     format_pattern,
     kernel_basis,
@@ -60,6 +61,12 @@ def test_kernel_dimension_agrees_with_gcd_route_beyond_elimination(n):
     basis = kernel_basis(n)
     assert len(basis) == nullity(n)
     assert all(is_even_cover(e) for e in basis)
+
+
+def test_elimination_agrees_with_gcd_route_at_every_side_to_the_cap():
+    # the null first rows of the column recurrence against the halving identities
+    wrong = [n for n in range(1, SIDE_CAP + 1) if len(_residual_matrix(n)[1]) != nullity(n)]
+    assert wrong == []
 
 
 @pytest.mark.parametrize("n", sorted(LARGE_SOLVE_SHA256))

@@ -1,6 +1,6 @@
 """Command-line surface: outputs, exit codes, file round-trips.
 
-Everything but the ``python -m lightsout`` check drives cli.main()
+Everything but the ``python -m lightsout`` checks drives cli.main()
 in-process; exit codes come from its return value, usage errors and help
 included.
 """
@@ -8,6 +8,7 @@ included.
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from lightsout import McpCertificate, cli, covers, gridmap, mcp, read_records_csv, scan, verify_certificate
+from lightsout import (McpCertificate, cli, covers, gf2poly, gridmap, mcp, read_records_csv, scan,
+                       verify_certificate)
 from lightsout.cli import main
 
 
@@ -501,6 +503,30 @@ def test_side_cap_spares_the_commands_that_build_no_grid(capsys, nothing_built):
     assert run(capsys, "mcp", "20001", "--brute") == (0, "400040001\n", "")
 
 
+@pytest.mark.parametrize("argv, m", [(["nullity", "10000000000"], 5 * 10**9),
+                                     (["nullity", "1000000000"], 5 * 10**8),
+                                     (["mcp", "10000000000", "--brute"], 5 * 10**9)], ids=str)
+def test_doubling_cap_refuses_before_doubling(capsys, monkeypatch, argv, m):
+    def double(*args):
+        raise AssertionError("doubled past the cap")
+
+    monkeypatch.setattr(gf2poly, "_fib_pair_y", double)
+    assert run(capsys, *argv) == (
+        1, "", f"error: doubling to f_{m} passes the doubling cap {gf2poly.DOUBLING_CAP}\n")
+
+
+@pytest.mark.parametrize("flags", [["--fast"], []])
+def test_doubling_cap_refuses_a_scan_before_any_block_or_fork(capsys, monkeypatch, flags):
+    def started(*args):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr(os, "fork", started)
+    monkeypatch.setattr(scan, "_block_ends", started)
+    cap = gf2poly.DOUBLING_CAP
+    assert run(capsys, "scan", "10000000000", *flags) == (
+        1, "", f"error: n_max 10000000000 doubles to f_2499999999, past the doubling cap {cap}\n")
+
+
 # -- the grammar ------------------------------------------------------------------
 
 # argv, exit code, stdout, and the last line of stderr; every usage error
@@ -594,3 +620,54 @@ def test_python_m_lightsout():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("usage: lightsout nullity")
+
+
+def _children(pid):
+    """The processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not Path("/proc/self/stat").exists(),
+                    reason="needs os.fork and /proc")
+def test_sigterm_reaps_the_scan_workers():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "lightsout", "scan", "150000", "--fast", "--workers", "2"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            workers = _children(proc.pid)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+        deadline = time.monotonic() + 2
+        while True:
+            alive = [pid for pid in workers if _alive(pid)]
+            if not alive or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert alive == []
+    finally:  # nothing outlives the test, whatever failed
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+

@@ -182,6 +182,25 @@ def test_fast_and_full_routes_stay_independent(monkeypatch):
     assert [nullity(n) for n in range(1, 200)] == expected
 
 
+def test_nullity_refuses_to_double_past_the_cap(monkeypatch):
+    doubled = []
+
+    def double(m):
+        doubled.append(m)
+        raise AssertionError("doubled")
+
+    monkeypatch.setattr(gf2poly, "_fib_pair_y", double)
+    cap = gf2poly.DOUBLING_CAP
+    with pytest.raises(AssertionError, match="doubled"):
+        nullity(2 * cap)  # the cap itself is doubled to
+    # one past the cap, an odd side halving to it, and a side far past it
+    for n, m in [(2 * cap + 2, cap + 1), (4 * cap + 5, cap + 1), (10**10, 5 * 10**9)]:
+        with pytest.raises(ValueError, match=f"doubling to f_{m} passes the doubling cap {cap}"):
+            nullity(n)
+    assert doubled == [cap]
+    assert nullity(2**200 - 1) == 0  # odd sides that halve to 0 never double
+
+
 def test_nullity_range_agrees_with_pointwise():
     pairs = nullity_range(10, 40)
     assert pairs == [(n, nullity(n)) for n in range(10, 41)]

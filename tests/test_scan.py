@@ -145,6 +145,22 @@ def test_census_refuses_more_workers_than_its_cap(monkeypatch):
             census(25000, fast=fast, workers=cap + 1)
 
 
+def test_census_refuses_to_double_past_the_cap(monkeypatch):
+    def started(*args):
+        raise AssertionError("the census started before n_max was checked")
+
+    for name in ("_block_ends", "_sweep_block", "_fast_block"):
+        monkeypatch.setattr(scan, name, started)
+    monkeypatch.setattr(os, "fork", started)
+    cap = gf2poly.DOUBLING_CAP
+    for fast in (False, True):
+        with pytest.raises(ValueError, match=f"n_max {4 * cap + 5} doubles to f_{cap + 1}, "
+                                             f"past the doubling cap {cap}"):
+            census(4 * cap + 5, fast=fast, workers=2)
+        with pytest.raises(AssertionError, match="the census started"):
+            census(4 * cap + 4, fast=fast, workers=2)  # its last fast block doubles to the cap
+
+
 def test_census_clamps_its_default_workers_to_the_cap(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4 * scan.MAX_WORKERS)))
     assert len(scan._block_ends(10000, scan.MAX_WORKERS)) > scan.MAX_WORKERS
